@@ -295,11 +295,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         code = exc.code
         return 0 if code in (0, None) else int(code)
+    # Counts at large n and q run past Python's default 4300-digit cap on
+    # int <-> str conversion (3.11+); lift it while printing them whole.
+    set_digit_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_digit_limit is not None:
+        old_limit = sys.get_int_max_str_digits()
+        set_digit_limit(0)
     try:
         return args.handler(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if set_digit_limit is not None:
+            set_digit_limit(old_limit)
 
 
 if __name__ == "__main__":

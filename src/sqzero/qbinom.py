@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import threading
 
 from .qpoly import ONE, ZERO, QLaurentPoly
 
@@ -25,19 +25,28 @@ def _one_minus_q_pow(j: int) -> QLaurentPoly:
     return QLaurentPoly({0: 1, j: -1})
 
 
-@lru_cache(maxsize=None)
+# _rows[m] holds the partial quotients qbinomial(m, 0), qbinomial(m, 1), ...
+# computed so far; the lock keeps concurrent callers from appending twice.
+_rows: dict[int, list[QLaurentPoly]] = {}
+_rows_lock = threading.Lock()
+
+
 def qbinomial(m: int, n: int) -> QLaurentPoly:
     """Gaussian binomial coefficient, a polynomial in q; zero unless 0 <= n <= m.
 
-    Computed literally as the quotient
+    Computed literally from the quotient
     (1-q^m)(1-q^(m-1))...(1-q^(m-n+1)) / (1-q)(1-q^2)...(1-q^n),
-    dividing out one denominator factor at a time.  Every partial quotient
-    is itself a Gaussian binomial, so each division is exact; exact_div
-    raising here would reveal a real bug instead of hiding it.
+    one factor pair at a time.  Its partial quotients are the Gaussian
+    binomials qbinomial(m, t) for t <= n, and each is kept in a store per m,
+    so the next one costs a single multiply by (1-q^(m-t+1)) and a single
+    exact division by (1-q^t).  Every partial quotient is a polynomial, so
+    each division is exact; exact_div raising here would reveal a real bug
+    instead of hiding it.
     """
     if not 0 <= n <= m:
         return ZERO
-    result = ONE
-    for t in range(1, n + 1):
-        result = (result * _one_minus_q_pow(m - t + 1)).exact_div(_one_minus_q_pow(t))
-    return result
+    with _rows_lock:
+        row = _rows.setdefault(m, [ONE])
+        for t in range(len(row), n + 1):
+            row.append((row[-1] * _one_minus_q_pow(m - t + 1)).exact_div(_one_minus_q_pow(t)))
+        return row[n]

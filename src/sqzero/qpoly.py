@@ -134,10 +134,13 @@ class QLaurentPoly:
     def exact_div(self, divisor: QLaurentPoly) -> QLaurentPoly:
         """Exact quotient self / divisor.
 
-        Long division from the lowest exponent up.  Raises
-        InexactDivisionError as soon as no integer-coefficient quotient can
-        exist; a remainder here always means a caller bug, so it must never
-        be truncated silently.
+        Long division from the lowest exponent up.  Each step cancels the
+        lowest remaining term and subtracts only at higher exponents, so one
+        upward walk over the quotient's exponent range visits each exponent
+        once.  Raises InexactDivisionError when a coefficient is not a
+        multiple of the divisor's lowest coefficient, or when any remainder
+        is left after the walk; a remainder here always means a caller bug,
+        so it must never be truncated silently.
         """
         if not divisor._terms:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -145,25 +148,25 @@ class QLaurentPoly:
             return ZERO
         div_lo = min(divisor._terms)
         div_lead = divisor._terms[div_lo]
+        div_rest = [(e - div_lo, c) for e, c in divisor._terms.items() if e != div_lo]
         # exponents of an exact quotient lie in
         # [min(self)-min(divisor), max(self)-max(divisor)]
         hi_bound = max(self._terms) - max(divisor._terms)
         rem = dict(self._terms)
         quot: dict[int, int] = {}
-        while rem:
-            lo = min(rem)
-            exp = lo - div_lo
-            coeff, residue = divmod(rem[lo], div_lead)
-            if residue or exp > hi_bound:
+        for lo in range(min(rem), hi_bound + div_lo + 1):
+            c = rem.pop(lo, 0)
+            if not c:
+                continue
+            coeff, residue = divmod(c, div_lead)
+            if residue:
                 raise InexactDivisionError(f"inexact division: ({self}) / ({divisor})")
-            quot[exp] = coeff
-            for e, c in divisor._terms.items():
-                ee = e + exp
-                s = rem.get(ee, 0) - coeff * c
-                if s:
-                    rem[ee] = s
-                elif ee in rem:
-                    del rem[ee]
+            quot[lo - div_lo] = coeff
+            for offset, d in div_rest:
+                e = lo + offset
+                rem[e] = rem.get(e, 0) - coeff * d
+        if any(rem.values()):
+            raise InexactDivisionError(f"inexact division: ({self}) / ({divisor})")
         return QLaurentPoly._from_clean(quot)
 
     def eval_at(self, x: int) -> int | Fraction:

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -15,6 +17,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digit_limit():
+    """Python's cap on int <-> str digits (3.11+), or None where there is none."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else None
+
+
+@contextmanager
+def unlimited_digits():
+    """Lift the digit cap inside the test, to compare values past it."""
+    old = digit_limit()
+    if old is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestCompute:
@@ -59,6 +81,22 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--n", "3", "--q", "6")
         assert code == 0
         assert out.strip() == str(2 * 36 - 6)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_value_past_the_int_str_digit_limit(self, capsys, fmt):
+        limit = digit_limit()
+        code, out, _ = run(capsys, "compute", "--n", "140", "--q", "9", "--format", fmt)
+        assert code == 0
+        assert digit_limit() == limit  # restored on return
+        if fmt == "json":
+            printed = json.loads(out)["value"]
+        elif fmt == "csv":
+            printed = list(csv.reader(io.StringIO(out)))[1][4]
+        else:
+            printed = out.strip()
+        assert len(printed) > 4300
+        with unlimited_digits():
+            assert printed == str(counting.closed_form(140).eval_at(9))
 
     def test_invalid_n(self, capsys):
         code, _, err = run(capsys, "compute", "--n", "0")
@@ -200,6 +238,14 @@ class TestTable:
         records = json.loads(out)
         assert [(rec["n"], rec["q"]) for rec in records] == [(1, 2), (1, 3), (2, 2), (2, 3)]
         assert records[3]["value"] == "3"
+
+    def test_value_past_the_int_str_digit_limit(self, capsys):
+        code, out, _ = run(capsys, "table", "--n-max", "140", "--q-list", "9")
+        assert code == 0
+        printed = out.splitlines()[-1].split("q=9: ")[1]
+        assert len(printed) > 4300
+        with unlimited_digits():
+            assert printed == str(counting.closed_form(140).eval_at(9))
 
     def test_bad_q_list_is_usage_error(self, capsys):
         assert run(capsys, "table", "--n-max", "3", "--q-list", "2,x")[0] == 2

@@ -173,6 +173,11 @@ class TestAlternatingSumIdentity:
         for m in range(31):
             assert alternating_qbinomial_sum(m) == alternating_qbinomial_sum_closed(m), m
 
+    def test_identity_holds_past_the_cli_default(self):
+        # lemma2 checks m <= 60 by default; these reach further
+        for m in range(61, 81):
+            assert alternating_qbinomial_sum(m) == alternating_qbinomial_sum_closed(m), m
+
     def test_killed_residue_class(self):
         for m in range(2, 40, 3):
             assert alternating_qbinomial_sum_closed(m) == ZERO

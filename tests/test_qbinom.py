@@ -1,9 +1,25 @@
 """Gaussian binomials against their defining quotient and classical laws."""
 
+import sys
+import threading
+
 import pytest
 
+from sqzero import qbinom
 from sqzero.qbinom import binomial, qbinomial
 from sqzero.qpoly import ONE, ZERO, QLaurentPoly
+
+
+def literal_qbinomial(m, n):
+    """Reference: the defining product quotient, divided out factor by factor
+    from scratch for every (m, n), with no partial quotient kept."""
+    if not 0 <= n <= m:
+        return ZERO
+    result = ONE
+    for t in range(1, n + 1):
+        numer = QLaurentPoly({0: 1, m - t + 1: -1})
+        result = (result * numer).exact_div(QLaurentPoly({0: 1, t: -1}))
+    return result
 
 
 class TestBinomial:
@@ -62,3 +78,40 @@ class TestQBinomialLaws:
         for m in range(BOUND + 1):
             for n in range(m + 1):
                 assert all(c > 0 for c in qbinomial(m, n).terms.values())
+
+
+class TestAgainstLiteralQuotient:
+    def test_chained_matches_literal(self, monkeypatch):
+        monkeypatch.setattr(qbinom, "_rows", {})
+        for m in range(41):
+            expected = {n: literal_qbinomial(m, n) for n in range(-1, m + 2)}
+            # the first call fills half a row at once, the rest extend it
+            # one entry at a time or read it back
+            for n in [m // 2, *expected]:
+                assert qbinomial(m, n) == expected[n], (m, n)
+
+    def test_threads_filling_one_store_agree(self, monkeypatch):
+        expected = {(m, n): literal_qbinomial(m, n) for m in range(16) for n in range(m + 1)}
+        threads = 4
+        start = threading.Barrier(threads)
+        results = []
+
+        def fill():
+            # every thread extends the same rows in the same order at once
+            start.wait()
+            results.append(all(qbinomial(m, n) == value for (m, n), value in expected.items()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                monkeypatch.setattr(qbinom, "_rows", {})
+                workers = [threading.Thread(target=fill) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * (10 * threads)

@@ -13,6 +13,35 @@ def P(terms):
     return QLaurentPoly(terms)
 
 
+def rescanning_exact_div(a, b):
+    """Reference long division: find the remainder's lowest term by a full
+    rescan at every step, and cancel it."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return ZERO
+    div_lo = min(b.terms)
+    div_lead = b.terms[div_lo]
+    hi_bound = max(a.terms) - max(b.terms)
+    rem = dict(a.terms)
+    quot = {}
+    while rem:
+        lo = min(rem)
+        exp = lo - div_lo
+        coeff, residue = divmod(rem[lo], div_lead)
+        if residue or exp > hi_bound:
+            raise InexactDivisionError(f"inexact division: ({a}) / ({b})")
+        quot[exp] = coeff
+        for e, c in b.terms.items():
+            ee = e + exp
+            s = rem.get(ee, 0) - coeff * c
+            if s:
+                rem[ee] = s
+            elif ee in rem:
+                del rem[ee]
+    return QLaurentPoly(quot)
+
+
 class TestCanonicalForm:
     def test_zero_polynomial_has_empty_terms(self):
         assert dict(ZERO.terms) == {}
@@ -103,6 +132,18 @@ class TestExactDiv:
 
     def test_laurent_division(self):
         assert ONE.exact_div(P({-1: 1})) == Q
+
+    def test_sparse_quotient_with_gaps(self):
+        # (1 - q^30) / (1 - q^10) = 1 + q^10 + q^20
+        a, b = P({0: 1, 30: -1}), P({0: 1, 10: -1})
+        assert a.exact_div(b) == P({0: 1, 10: 1, 20: 1}) == rescanning_exact_div(a, b)
+
+    def test_top_terms_left_over_raise(self):
+        # (1 - q^3)(1 + q) + q^5: the walk cancels up to q^4, q^5 is left
+        a, b = P({0: 1, 1: 1, 3: -1, 4: -1, 5: 1}), P({0: 1, 3: -1})
+        for divide in (QLaurentPoly.exact_div, rescanning_exact_div):
+            with pytest.raises(InexactDivisionError):
+                divide(a, b)
 
 
 class TestEvalAt:
@@ -198,3 +239,39 @@ class TestRingLaws:
     def test_eval_is_ring_homomorphism(self, a, b, x):
         assert (a * b).eval_at(x) == a.eval_at(x) * b.eval_at(x)
         assert (a + b).eval_at(x) == a.eval_at(x) + b.eval_at(x)
+
+
+def nonzero_polys(exponents=st.integers(-10, 10), min_terms=1):
+    coeffs = st.integers(-100, 100).filter(bool)
+    return st.builds(
+        QLaurentPoly, st.dictionaries(exponents, coeffs, min_size=min_terms, max_size=6)
+    )
+
+
+class TestExactDivAgainstRescan:
+    @given(polys, nonzero_polys())
+    def test_products(self, a, b):
+        assert (a * b).exact_div(b) == rescanning_exact_div(a * b, b) == a
+
+    @given(polys, nonzero_polys(min_terms=2), st.integers(-100, 100).filter(bool),
+           st.integers(-10, 10))
+    def test_non_multiples_raise(self, c, b, coeff, exp):
+        # b has two or more terms, so it divides no monomial, and not a
+        a = b * c + QLaurentPoly.monomial(coeff, exp)
+        for divide in (QLaurentPoly.exact_div, rescanning_exact_div):
+            with pytest.raises(InexactDivisionError):
+                divide(a, b)
+
+    @given(polys, nonzero_polys(exponents=st.integers(-10, -1)))
+    def test_negative_exponent_divisors(self, a, b):
+        assert (a * b).exact_div(b) == rescanning_exact_div(a * b, b) == a
+
+    @given(polys, nonzero_polys())
+    def test_arbitrary_pairs_agree(self, a, b):
+        try:
+            expected = rescanning_exact_div(a, b)
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError):
+                a.exact_div(b)
+        else:
+            assert a.exact_div(b) == expected
