@@ -1,11 +1,12 @@
 """
-Finite fields and the brute-force oracle
+Finite fields and the enumeration oracle
 ========================================
 
 The formulas predict counts over any prime power q; the oracle checks them
-the hard way, by enumerating every strictly upper-triangular matrix over a
-concrete field and squaring it.  Nothing is shared between the two routes,
-which is the point.
+the hard way, by searching the strictly upper-triangular matrices over a
+concrete field for those whose square is zero, computing every entry of
+the square with the field's own arithmetic.  Nothing is shared between
+the two routes, which is the point.
 """
 
 from sqzero import (
@@ -38,8 +39,9 @@ print(f"GF(9): x * x = {f9.mul(x, x)} (modulus x^2 + 1, so x^2 = -1 = 2)")
 ###############################################################################
 # Oracle vs formula
 # -----------------
-# Exhaustive enumeration over small (n, q) grids, compared with the
-# closed form evaluated at q.
+# Enumeration over small (n, q) grids, compared with the closed form
+# evaluated at q.  The search prunes a partial matrix as soon as an entry
+# of its square is fixed and nonzero, so each counted matrix is checked.
 
 print("\n n  q   oracle   formula")
 for q in (2, 3, 4, 5):
@@ -53,10 +55,9 @@ for q in (2, 3, 4, 5):
 ###############################################################################
 # Rank refinement
 # ---------------
-# The oracle can split the solutions by matrix rank.  Empirically the
-# per-index constant-term formulas evaluated at q reproduce these refined
-# counts too (reported informationally; the library asserts only the
-# total).
+# The oracle can split the solutions by matrix rank.  The per-index
+# constant-term formulas evaluated at q reproduce these refined counts
+# (acceptance criterion 9 and `oracle --by-rank` assert it).
 
 print("\nrank refinement at n=5, q=2:")
 ranks = count_by_rank(5, 2)
@@ -68,8 +69,8 @@ print(f"  total: {sum(ranks.values())} = {closed_form(5).eval_at(2)}")
 ###############################################################################
 # Determinism under parallelism
 # -----------------------------
-# The search space is partitioned on a prefix of the entry vector, so any
-# worker count yields bit-identical results.
+# The search is partitioned on a prefix of its fill order, so any worker
+# count yields bit-identical results.
 
 single = count_square_zero(4, 3, workers=1)
 parallel = count_square_zero(4, 3, workers=4)

@@ -1,6 +1,6 @@
 """Exact counting of strictly upper-triangular matrices over GF(q) whose
-square is zero: four independent formula engines plus a brute-force
-enumeration oracle, all in exact integer arithmetic."""
+square is zero: four independent formula engines plus an enumeration
+oracle, all in exact integer arithmetic."""
 
 from .counting import (
     NonPolynomialResultError,

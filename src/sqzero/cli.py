@@ -3,7 +3,8 @@
 Subcommands: compute, verify, oracle, lemma2, table.
 
 Exit codes are stable across subcommands: 0 means success (all checks
-match), 1 means a mathematical mismatch, 2 means a usage or argument
+match), 1 means a mathematical mismatch or an engine error (an inexact
+division or a non-polynomial constant term), 2 means a usage or argument
 error.  Coefficients are serialized as decimal strings in JSON so
 arbitrary-precision values survive any consumer.
 """
@@ -14,12 +15,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 from . import counting, oracle
-from .qpoly import QLaurentPoly
+from .qpoly import InexactDivisionError, QLaurentPoly
 
 COMPUTE_METHODS = ("closed", "recurrence", "anna", "sumanna")
 
@@ -140,35 +140,42 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    workers = args.workers if args.workers is not None else os.cpu_count() or 1
-    try:
-        count = oracle.count_square_zero(args.n, args.q, budget=args.budget, workers=workers)
-    except oracle.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    issues = []
+    if args.by_rank:
+        ranks = oracle.count_by_rank(args.n, args.q, budget=args.budget, workers=args.workers)
+        count = sum(ranks.values())
+        # Each rank r with 2r <= n must occur t(n, r) times at q; no other rank may.
+        expected = {
+            r: counting.constant_term_entry(args.n, r).eval_at(args.q) for r in range(args.n // 2 + 1)
+        }
+        issues = [
+            f"MISMATCH rank {r}: oracle count {ranks.get(r, 0)} != entry formula {expected.get(r, 0)}"
+            for r in sorted(ranks.keys() | expected.keys())
+            if ranks.get(r, 0) != expected.get(r, 0)
+        ]
+    else:
+        count = oracle.count_square_zero(args.n, args.q, budget=args.budget, workers=args.workers)
     formula_poly = counting.closed_form(args.n)
     formula = formula_poly.eval_at(args.q)
-    match = count == formula
+    match = count == formula and not issues
     if args.format == "json":
         records = [
             OutputRecord(n=args.n, method="oracle", q=args.q, value=count),
             OutputRecord(n=args.n, method="closed", q=args.q, polynomial=formula_poly, value=formula),
         ]
         print(json.dumps([rec.to_json_obj() for rec in records]))
+        for issue in issues:
+            print(issue, file=sys.stderr)
     else:
         print(f"n={args.n} q={args.q}")
         print(f"oracle count:  {count}")
         print(f"formula value: {formula}")
         if args.by_rank:
-            ranks = oracle.count_by_rank(args.n, args.q, budget=args.budget, workers=workers)
-            print("rank refinement (informational):")
+            print("rank refinement:")
             for r, c in ranks.items():
-                per_rank = counting.constant_term_entry(args.n, r) if 2 * r <= args.n else None
-                if per_rank is None:
-                    note = "no table entry"
-                else:
-                    note = f"entry formula at q: {per_rank.eval_at(args.q)}"
-                print(f"  rank {r}: count {c}  ({note})")
+                print(f"  rank {r}: count {c}  (entry formula at q: {expected.get(r, 0)})")
+            for issue in issues:
+                print(issue)
         print("MATCH" if match else "MISMATCH")
     return 0 if match else 1
 
@@ -256,15 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=20, help="check all n up to this bound")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="brute-force count and compare with the formula")
+    p = sub.add_parser("oracle", help="count by enumeration and compare with the formula")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True, help="a supported prime power")
-    p.add_argument("--by-rank", action="store_true", help="also report counts by matrix rank")
+    p.add_argument("--by-rank", action="store_true", help="also check the counts by matrix rank")
     p.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="parallel workers (default: machine parallelism); the count is worker-independent",
+        default=1,
+        help="worker processes (default 1: no pool); the count is worker-independent",
     )
     p.add_argument(
         "--budget",
@@ -303,7 +310,10 @@ def main(argv=None) -> int:
         set_digit_limit(0)
     try:
         return args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (InexactDivisionError, counting.NonPolynomialResultError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, ZeroDivisionError, oracle.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

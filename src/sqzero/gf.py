@@ -5,11 +5,11 @@ the coefficients of the element's polynomial representation, so 0 and 1
 are always the additive and multiplicative identities and prime fields
 are ordinary integers mod p.
 
-Extension fields are built from a fixed irreducible modulus and precompute
-full q x q addition and multiplication tables, so the enumeration oracle's
-inner loop is two list lookups.  Any irreducible modulus of the right
-degree gives an isomorphic field, hence identical counts; the built-in
-choices below only need to be irreducible, not canonical.
+Every field precomputes full q x q addition and multiplication tables, so
+the enumeration oracle's inner loop is two list lookups.  Extension fields
+are built from a fixed irreducible modulus; any irreducible modulus of the
+right degree gives an isomorphic field, hence identical counts, so the
+built-in choices below only need to be irreducible, not canonical.
 """
 
 from __future__ import annotations
@@ -81,19 +81,17 @@ class FiniteField:
 
     def __init__(self, q: int):
         if q in _PRIME_ORDERS:
-            self.q = self.p = q
-            self.k = 1
-            self.modulus = None
-            self._add = self._mul = self._neg = self._inv = None
-            return
-        if q not in _EXTENSION_MODULI:
+            p, modulus, k = q, None, 1
+        elif q in _EXTENSION_MODULI:
+            p, modulus = _EXTENSION_MODULI[q]
+            k = len(modulus) - 1
+            if not _is_irreducible(modulus, p):
+                raise ArithmeticError(f"built-in modulus for GF({q}) is not irreducible")
+        else:
             raise ValueError(f"not a supported prime power: {q}")
-        p, modulus = _EXTENSION_MODULI[q]
-        k = len(modulus) - 1
-        if not _is_irreducible(modulus, p):
-            raise ArithmeticError(f"built-in modulus for GF({q}) is not irreducible")
         self.q, self.p, self.k = q, p, k
         self.modulus = modulus
+        reduce_by = modulus or (0, 1)  # GF(p) is GF(p)[x]/(x)
         digits = [_digits(v, p, k) for v in range(q)]
         self._add = [
             [_value(tuple((x + y) % p for x, y in zip(da, db)), p) for db in digits]
@@ -109,38 +107,27 @@ class FiniteField:
                     if x:
                         for j, y in enumerate(db):
                             prod[i + j] += x * y
-                rem = _poly_rem(prod, modulus, p)
+                rem = _poly_rem(prod, reduce_by, p)
                 row.append(_value(tuple(rem) + (0,) * (k - len(rem)), p))
             mul.append(row)
         self._mul = mul
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = mul[a].index(1)
-        self._inv = inv
+        self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.q
         return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return -a % self.q
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.q
         return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.k == 1:
-            return pow(a, -1, self.q)
         return self._inv[a]
 
     def elements(self) -> range:

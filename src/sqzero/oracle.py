@@ -1,9 +1,9 @@
-"""Exhaustive ground truth: enumerate strictly upper-triangular matrices
-over GF(q) and count those whose square is zero, totally and by rank.
+"""Ground truth: enumerate strictly upper-triangular matrices over GF(q)
+whose square is zero, and count them totally and by rank.
 
-The enumeration is deliberately brute force; its entire value as a
-cross-check comes from sharing no machinery with the polynomial engines it
-is compared against, so no algebraic shortcut is taken.
+Its entire value as a cross-check comes from sharing no machinery with the
+polynomial engines it is compared against, so the search takes no algebraic
+shortcut: it prunes only on entries of X^2 computed with field add and mul.
 
 Only strictly upper-triangular matrices are enumerated.  That loses
 nothing: for a triangular X the diagonal of X^2 consists of the squares of
@@ -68,42 +68,36 @@ def flat_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def _check_plan(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """For each position (i, j) of X^2 that can be nonzero, the entry-vector
-    index pairs whose products sum to it.
-
-    Only j >= i+2 appears: for strictly upper-triangular X the diagonal and
-    first superdiagonal of X^2 are identically zero.
-    """
-    plan = []
-    for i in range(n):
-        for j in range(i + 2, n):
-            plan.append(
-                tuple((flat_index(n, i, t), flat_index(n, t, j)) for t in range(i + 1, j))
-            )
-    return plan
+def _square_entry_pairs(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """Entry-vector index pairs (of X[i][t] and X[t][j]) summing to (X^2)ij."""
+    return tuple((flat_index(n, i, t), flat_index(n, t, j)) for t in range(i + 1, j))
 
 
-def _entries_square_zero(entries, field: FiniteField, plan) -> bool:
-    for pairs in plan:
-        acc = 0
-        for u, v in pairs:
-            x = entries[u]
-            if x:
-                y = entries[v]
-                if y:
-                    acc = field.add(acc, field.mul(x, y))
-        if acc:
-            return False
-    return True
+def _square_entry(entries, field: FiniteField, pairs) -> int:
+    acc = 0
+    for u, v in pairs:
+        x = entries[u]
+        if x:
+            y = entries[v]
+            if y:
+                acc = field.add(acc, field.mul(x, y))
+    return acc
 
 
 def square_is_zero(mat: StrictUpperMatrix, field: FiniteField) -> bool:
-    """True iff every entry of mat squared vanishes over the field."""
-    expected = mat.n * (mat.n - 1) // 2
-    if len(mat.entries) != expected:
-        raise ValueError(f"expected {expected} entries for n={mat.n}, got {len(mat.entries)}")
-    return _entries_square_zero(mat.entries, field, _check_plan(mat.n))
+    """True iff every entry of mat squared vanishes over the field.
+
+    Only (i, j) with j >= i+2 is checked: for strictly upper-triangular X the
+    diagonal and first superdiagonal of X^2 are identically zero.
+    """
+    n = mat.n
+    if len(mat.entries) != n * (n - 1) // 2:
+        raise ValueError(f"expected {n * (n - 1) // 2} entries for n={n}, got {len(mat.entries)}")
+    return not any(
+        _square_entry(mat.entries, field, _square_entry_pairs(n, i, j))
+        for i in range(n)
+        for j in range(i + 2, n)
+    )
 
 
 def _rank_of_rows(rows: list[list[int]], field: FiniteField) -> int:
@@ -136,24 +130,49 @@ def matrix_rank(mat: StrictUpperMatrix, field: FiniteField) -> int:
     return _rank_of_rows(mat.rows(), field)
 
 
+def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
+    """Yield every square-zero X as its row-major entry list, by a depth-first
+    search that fills X column by column, each column from the bottom up.
+
+    When the search reaches (i, j), every X[i][t] and X[t][j] with i < t < j
+    is already filled, so (X^2)ij is fixed; a nonzero one prunes the subtree
+    before any value of X[i][j] is tried.  Each entry of X^2 with j >= i+2 is
+    checked exactly once on the path to a leaf, so every yielded X is fully
+    checked.  The first len(prefix) positions in fill order take the prefix's
+    values, each checked like any other.  The yielded list is reused.
+    """
+    order = [
+        (flat_index(n, i, j), _square_entry_pairs(n, i, j))
+        for j in range(n)
+        for i in range(j - 1, -1, -1)
+    ]
+    entries = [0] * len(order)
+    if not order:
+        yield entries
+        return
+    last = len(order) - 1
+    tries = [iter(prefix[:1] or field.elements())]  # (0, 1) has nothing to check
+    while tries:
+        depth = len(tries) - 1
+        pos = order[depth][0]
+        for x in tries[depth]:
+            entries[pos] = x
+            if depth == last:
+                yield entries
+            elif not _square_entry(entries, field, order[depth + 1][1]):
+                tries.append(iter(prefix[depth + 1 : depth + 2] or field.elements()))
+                break
+        else:
+            tries.pop()
+
+
 def _partition_counts(n: int, q: int, by_rank: bool, prefix: tuple[int, ...]):
-    """Count solutions among entry vectors starting with ``prefix``; the
-    remaining entries are enumerated odometer-style, last entry fastest."""
+    """Count the solutions whose first fill positions hold ``prefix``."""
     field = FiniteField(q)
-    plan = _check_plan(n)
-    free = n * (n - 1) // 2 - len(prefix)
-    if by_rank:
-        ranks: Counter[int] = Counter()
-        for suffix in itertools.product(range(q), repeat=free):
-            entries = prefix + suffix
-            if _entries_square_zero(entries, field, plan):
-                ranks[_rank_of_rows(StrictUpperMatrix(n, entries).rows(), field)] += 1
-        return ranks
-    total = 0
-    for suffix in itertools.product(range(q), repeat=free):
-        if _entries_square_zero(prefix + suffix, field, plan):
-            total += 1
-    return total
+    leaves = _solutions(n, field, prefix)
+    if not by_rank:
+        return sum(1 for _ in leaves)
+    return Counter(_rank_of_rows(StrictUpperMatrix(n, entries).rows(), field) for entries in leaves)
 
 
 def _enumerate(n: int, q: int, budget: int, workers: int, by_rank: bool):
@@ -167,29 +186,24 @@ def _enumerate(n: int, q: int, budget: int, workers: int, by_rank: bool):
     count = partial(_partition_counts, n, q, by_rank)
     if workers <= 1:
         return count(())
-    # Partition on a prefix of the entry vector: every worker enumerates a
+    # Partition on a prefix of the fill order: every worker searches a
     # disjoint slice, and summing the slices is independent of how many
     # workers ran or how slices were scheduled.
     prefix_len = 0
     while q**prefix_len < workers and prefix_len < length:
         prefix_len += 1
-    prefixes = list(itertools.product(range(q), repeat=prefix_len))
+    prefixes = itertools.product(range(q), repeat=prefix_len)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(count, prefixes))
-    if by_rank:
-        merged: Counter[int] = Counter()
-        for part in parts:
-            merged.update(part)
-        return merged
-    return sum(parts)
+        parts = pool.map(count, prefixes)
+        return sum(parts, Counter()) if by_rank else sum(parts)
 
 
 def count_square_zero(
     n: int, q: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> int:
     """Exact number of n x n strictly upper-triangular matrices over GF(q)
-    whose square is zero, by exhaustive enumeration of all q^(n(n-1)/2)
-    candidates."""
+    whose square is zero, by a pruned search that fully checks each one it
+    counts; the budget bounds all q^(n(n-1)/2) candidates."""
     return _enumerate(n, q, budget, workers, by_rank=False)
 
 

@@ -82,6 +82,12 @@ def test_criterion_6_oracle_agreement():
                 counted = count_square_zero(n, q)
                 predicted = closed_form(n).eval_at(q)
                 assert counted == predicted, f"(n={n}, q={q}): {counted} != {predicted}"
+        # 14.3M, 9.8M and 16.8M candidates: reachable only because the
+        # search prunes a partial matrix as soon as its square is nonzero.
+        for n, q in [(6, 3), (5, 5), (4, 16)]:
+            counted = count_square_zero(n, q)
+            predicted = closed_form(n).eval_at(q)
+            assert counted == predicted, f"(n={n}, q={q}): {counted} != {predicted}"
 
 
 def test_criterion_7_degree_and_leading_coefficient_laws():
@@ -153,3 +159,11 @@ def test_criterion_8_property_suites():
             _check_field_axioms(q)
         assert count_square_zero(4, 3, workers=4) == count_square_zero(4, 3, workers=1)
         assert count_by_rank(4, 3, workers=4) == count_by_rank(4, 3, workers=1)
+
+
+def test_criterion_9_rank_refinement():
+    with criterion(9, "oracle counts by rank equal the entry formula t(n, r) at q"):
+        for q, n_hi in [(2, 6), (3, 5), (4, 4), (5, 4)]:
+            for n in range(1, n_hi + 1):
+                expected = {r: constant_term_entry(n, r).eval_at(q) for r in range(n // 2 + 1)}
+                assert count_by_rank(n, q) == expected, f"(n={n}, q={q})"

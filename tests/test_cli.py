@@ -8,9 +8,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from sqzero import cli, counting
+from sqzero import cli, counting, oracle
 from sqzero.cli import main, polynomial_from_json_terms
-from sqzero.qpoly import QLaurentPoly
+from sqzero.counting import NonPolynomialResultError
+from sqzero.qpoly import InexactDivisionError, QLaurentPoly
 
 
 def run(capsys, *argv):
@@ -188,6 +189,84 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--n", "3", "--q", "2", "--workers", "1")
         assert code == 1
         assert "MISMATCH" in out
+
+
+class TestOracleRanks:
+    def test_by_rank_report_lines(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--n", "3", "--q", "2", "--by-rank")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "oracle count:  6",
+            "formula value: 6",
+            "rank refinement:",
+            "  rank 0: count 1  (entry formula at q: 1)",
+            "  rank 1: count 5  (entry formula at q: 5)",
+            "MATCH",
+        ]
+
+    def test_by_rank_enumerates_once(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_square_zero called under --by-rank")
+
+        monkeypatch.setattr(oracle, "count_square_zero", refuse)
+        code, out, _ = run(capsys, "oracle", "--n", "4", "--q", "3", "--by-rank")
+        assert code == 0
+        assert "oracle count:  153" in out
+
+    def test_rank_mismatch_exit_code(self, capsys, monkeypatch):
+        real = counting.constant_term_entry
+        monkeypatch.setattr(
+            counting, "constant_term_entry", lambda n, r: real(n, r) + QLaurentPoly({0: 1})
+        )
+        code, out, _ = run(capsys, "oracle", "--n", "4", "--q", "2", "--by-rank")
+        assert code == 1
+        assert "MISMATCH rank 1: oracle count 17 != entry formula 18" in out
+        assert "  rank 1: count 17  (entry formula at q: 18)" in out
+        assert out.splitlines()[-1] == "MISMATCH"
+
+    def test_rank_mismatch_in_json_goes_to_stderr(self, capsys, monkeypatch):
+        real = counting.constant_term_entry
+        monkeypatch.setattr(
+            counting, "constant_term_entry", lambda n, r: real(n, r) + QLaurentPoly({0: 1})
+        )
+        code, out, err = run(
+            capsys, "oracle", "--n", "3", "--q", "2", "--by-rank", "--format", "json"
+        )
+        assert code == 1
+        assert [rec["value"] for rec in json.loads(out)] == ["6", "6"]
+        assert "MISMATCH rank 0" in err
+
+    def test_no_worker_pool_by_default(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+        code, out, _ = run(capsys, "oracle", "--n", "3", "--q", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "MATCH"
+
+
+class TestEngineErrors:
+    @pytest.mark.parametrize(
+        "target,error,argv",
+        [
+            ("closed_form", InexactDivisionError, ["compute", "--n", "5"]),
+            (
+                "constant_term_total",
+                NonPolynomialResultError,
+                ["compute", "--n", "5", "--method", "sumanna"],
+            ),
+        ],
+    )
+    def test_one_line_and_exit_one(self, capsys, monkeypatch, target, error, argv):
+        def broken(*args):
+            raise error("engine broke")
+
+        monkeypatch.setattr(counting, target, broken)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: engine broke\n"
 
 
 class TestLemma2:

@@ -1,12 +1,17 @@
 """The enumeration oracle: frozen counts, budget guard, determinism."""
 
+import itertools
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 
 from sqzero.counting import closed_form
-from sqzero.gf import FiniteField
+from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
     BudgetExceededError,
     StrictUpperMatrix,
+    _solutions,
     count_by_rank,
     count_square_zero,
     flat_index,
@@ -102,3 +107,56 @@ class TestWorkerIndependence:
 
     def test_rank_tables_identical_across_worker_counts(self):
         assert count_by_rank(4, 2, workers=3) == count_by_rank(4, 2, workers=1)
+
+
+@lru_cache(maxsize=None)
+def odometer_solutions(n, q):
+    """Reference: try every candidate entry vector and keep those whose
+    square is zero."""
+    field = FiniteField(q)
+    return frozenset(
+        entries
+        for entries in itertools.product(range(q), repeat=n * (n - 1) // 2)
+        if square_is_zero(StrictUpperMatrix(n, entries), field)
+    )
+
+
+# Every (n, q) whose q^(n(n-1)/2) candidates the odometer walks in moments.
+DIFFERENTIAL_GRID = [
+    (n, q) for q in SUPPORTED_ORDERS for n in range(1, 8) if q ** (n * (n - 1) // 2) <= 120_000
+]
+
+
+class TestAgainstOdometer:
+    @pytest.mark.parametrize("n,q", DIFFERENTIAL_GRID, ids=lambda v: str(v))
+    def test_same_solution_matrices(self, n, q):
+        found = [tuple(entries) for entries in _solutions(n, FiniteField(q))]
+        assert len(found) == len(set(found)), "a matrix was counted twice"
+        assert set(found) == odometer_solutions(n, q)
+
+    @pytest.mark.parametrize("n,q", DIFFERENTIAL_GRID, ids=lambda v: str(v))
+    def test_same_rank_counts(self, n, q):
+        field = FiniteField(q)
+        reference = Counter(
+            matrix_rank(StrictUpperMatrix(n, entries), field) for entries in odometer_solutions(n, q)
+        )
+        assert count_by_rank(n, q) == dict(reference)
+
+    @pytest.mark.parametrize("n,q", [(4, 3), (5, 2)])
+    def test_results_identical_for_one_two_and_three_workers(self, n, q):
+        totals = {workers: count_square_zero(n, q, workers=workers) for workers in (1, 2, 3)}
+        ranks = {workers: count_by_rank(n, q, workers=workers) for workers in (1, 2, 3)}
+        assert totals[2] == totals[3] == totals[1] == len(odometer_solutions(n, q))
+        assert ranks[2] == ranks[3] == ranks[1]
+
+    def test_prefixes_split_the_solutions(self):
+        # The third fill position, (0, 2), is the first with an entry of X^2
+        # to check, so some of these prefixes are pruned outright.
+        field = FiniteField(3)
+        parts = [
+            {tuple(entries) for entries in _solutions(4, field, prefix)}
+            for prefix in itertools.product(range(3), repeat=3)
+        ]
+        assert not all(parts)
+        assert sum(map(len, parts)) == len(set().union(*parts))
+        assert set().union(*parts) == odometer_solutions(4, 3)
