@@ -5,7 +5,6 @@ oracle, all in exact integer arithmetic."""
 from .counting import (
     NonPolynomialResultError,
     TriangularTable,
-    WLaurent,
     alternating_qbinomial_sum,
     alternating_qbinomial_sum_closed,
     closed_form,
@@ -35,7 +34,6 @@ __all__ = [
     "Q",
     "binomial",
     "qbinomial",
-    "WLaurent",
     "TriangularTable",
     "NonPolynomialResultError",
     "recurrence_table",

@@ -71,21 +71,13 @@ def _engine_polynomial(n: int, method: str) -> QLaurentPoly:
     raise ValueError(f"unknown method: {method}")
 
 
-def _emit_records_csv(records: list[OutputRecord]) -> str:
+def _print_csv(header: list[str], rows) -> None:
+    """Print one CSV document; csv writes None as an empty field and str()s the rest."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "method", "q", "polynomial", "value"])
-    for rec in records:
-        writer.writerow(
-            [
-                rec.n,
-                rec.method,
-                "" if rec.q is None else rec.q,
-                "" if rec.polynomial is None else str(rec.polynomial),
-                "" if rec.value is None else str(rec.value),
-            ]
-        )
-    return buf.getvalue()
+    writer.writerow(header)
+    writer.writerows(rows)
+    print(buf.getvalue(), end="")
 
 
 def _cmd_compute(args) -> int:
@@ -99,7 +91,7 @@ def _cmd_compute(args) -> int:
     if args.format == "json":
         print(json.dumps(record.to_json_obj()))
     elif args.format == "csv":
-        print(_emit_records_csv([record]), end="")
+        _print_csv(["n", "method", "q", "polynomial", "value"], [[args.n, args.method, args.q, poly, value]])
     else:
         print(value if value is not None else str(poly))
     return 0
@@ -216,12 +208,10 @@ def _cmd_table(args) -> int:
                 records.append(OutputRecord(n=n, method="closed", polynomial=poly))
         print(json.dumps([rec.to_json_obj() for rec in records]))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "polynomial"] + [str(q) for q in q_list])
-        for n, poly in polys.items():
-            writer.writerow([n, str(poly)] + [str(poly.eval_at(q)) for q in q_list])
-        print(buf.getvalue(), end="")
+        _print_csv(
+            ["n", "polynomial"] + [str(q) for q in q_list],
+            ([n, poly] + [poly.eval_at(q) for q in q_list] for n, poly in polys.items()),
+        )
     else:
         for n, poly in polys.items():
             line = f"n={n}  {poly}"

@@ -19,7 +19,7 @@ disagreement surfaces as structural polynomial inequality, never as drift.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .qbinom import binomial, qbinomial
 from .qpoly import ONE, ZERO, QLaurentPoly
@@ -27,81 +27,6 @@ from .qpoly import ONE, ZERO, QLaurentPoly
 
 class NonPolynomialResultError(ArithmeticError):
     """A constant-term extraction produced negative q-exponents (a bug)."""
-
-
-class WLaurent:
-    """Finite Laurent object in w whose coefficients are QLaurentPoly values.
-
-    Support is always finite here: every series that feeds a constant-term
-    extraction is truncated to the w-exponents that can still reach w^0
-    after multiplication, so no formal-power-series machinery is needed.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, QLaurentPoly] | None = None):
-        data: dict[int, QLaurentPoly] = {}
-        if terms:
-            for exp, poly in terms.items():
-                if poly:
-                    data[exp] = poly
-        self._terms = data
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
-
-    def coefficient(self, w_exp: int) -> QLaurentPoly:
-        return self._terms.get(w_exp, ZERO)
-
-    def constant_term(self) -> QLaurentPoly:
-        """The coefficient of w^0."""
-        return self._terms.get(0, ZERO)
-
-    def shift(self, k: int) -> WLaurent:
-        """Multiply by w**k."""
-        if k == 0:
-            return self
-        return WLaurent({e + k: p for e, p in self._terms.items()})
-
-    def scale(self, poly: QLaurentPoly) -> WLaurent:
-        """Multiply every coefficient by a q-polynomial."""
-        return WLaurent({e: p * poly for e, p in self._terms.items()})
-
-    def __add__(self, other: WLaurent) -> WLaurent:
-        if not isinstance(other, WLaurent):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, p in other._terms.items():
-            out[e] = out.get(e, ZERO) + p
-        return WLaurent(out)
-
-    def __mul__(self, other: WLaurent) -> WLaurent:
-        if not isinstance(other, WLaurent):
-            return NotImplemented
-        out: dict[int, QLaurentPoly] = {}
-        for e1, p1 in self._terms.items():
-            for e2, p2 in other._terms.items():
-                e = e1 + e2
-                prod = p1 * p2
-                cur = out.get(e)
-                out[e] = prod if cur is None else cur + prod
-        return WLaurent(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WLaurent):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{e}: {p}" for e, p in sorted(self._terms.items()))
-        return f"WLaurent({{{inner}}})"
 
 
 class TriangularTable:
@@ -180,31 +105,30 @@ def closed_form(n: int) -> QLaurentPoly:
     return QLaurentPoly(terms)
 
 
-def _envelope(n: int) -> WLaurent:
-    """(1 - w)(1 + w)^n expanded: the coefficient of w^k is C(n, k) - C(n, k-1)."""
-    return WLaurent(
-        {k: QLaurentPoly.constant(binomial(n, k) - binomial(n, k - 1)) for k in range(n + 2)}
-    )
+def _envelope(n: int, k: int) -> int:
+    """The coefficient of w^k in (1 - w)(1 + w)^n: C(n, k) - C(n, k-1)."""
+    return binomial(n, k) - binomial(n, k - 1)
 
 
 def constant_term_entry(n: int, r: int) -> QLaurentPoly:
-    """Table entry t(n, r) via constant-term extraction.
+    """Table entry t(n, r) via constant-term extraction:
 
-    Builds q^(r(n-r)) * CT_w[ (1-w)(1+w)^n w^(-r) *
+    q^(r(n-r)) * CT_w[ (1-w)(1+w)^n w^(-r) *
     sum_i (-1)^i q^(-(i+1)i/2 - i(n-2r)) qbinomial(i+n-2r, i) w^i ].
 
-    The enveloping factor (1-w)(1+w)^n w^(-r) has w-support [-r, n+1-r], so
-    a series term w^i with i > r cannot reach w^0; the infinite sum is
-    truncated at i = r without loss.
+    Only w^0 is ever formed: series term i meets the envelope coefficient
+    of w^(r-i), so the extraction is sum_{i=0}^{r} e_(r-i) s_i with e_k from
+    ``_envelope`` and s_i the i-th series term.  Terms with i > r would need
+    a negative envelope exponent, so the infinite sum stops at i = r.
     """
     if not 0 <= 2 * r <= n:
         raise ValueError(f"need 0 <= 2r <= n, got n={n}, r={r}")
-    series: dict[int, QLaurentPoly] = {}
+    result = ZERO
     for i in range(r + 1):
-        coeff = qbinomial(i + n - 2 * r, i).shift(-((i + 1) * i) // 2 - i * (n - 2 * r))
-        series[i] = -coeff if i % 2 else coeff
-    product = _envelope(n).shift(-r) * WLaurent(series)
-    result = product.constant_term().shift(r * (n - r))
+        term = qbinomial(i + n - 2 * r, i).shift(-((i + 1) * i) // 2 - i * (n - 2 * r))
+        e = _envelope(n, r - i)
+        result = result + (-e if i % 2 else e) * term
+    result = result.shift(r * (n - r))
     if not result.is_polynomial():
         raise NonPolynomialResultError(f"non-polynomial CT result for entry ({n}, {r}): {result}")
     return result
@@ -265,16 +189,18 @@ def constant_term_total(n: int) -> QLaurentPoly:
     """Row total via a single constant-term extraction:
 
     CT_w[ (1-w)(1+w)^n * sum_{l=0}^{floor(n/2)} w^(-l) q^(ln-l^2) *
-          alternating_qbinomial_sum(n-2l) ].
+          alternating_qbinomial_sum(n-2l) ],
 
-    Equals the row sum of the table by construction.
+    read off as sum_l e_l q^(ln-l^2) alternating_qbinomial_sum(n-2l) with
+    e_l the envelope coefficient of w^l.  The inner sum is expanded term by
+    term, never taken from its closed form.  Equals the row sum of the
+    table by construction.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    tail: dict[int, QLaurentPoly] = {}
+    result = ZERO
     for l in range(n // 2 + 1):
-        tail[-l] = alternating_qbinomial_sum(n - 2 * l).shift(l * n - l * l)
-    result = (_envelope(n) * WLaurent(tail)).constant_term()
+        result = result + _envelope(n, l) * alternating_qbinomial_sum(n - 2 * l).shift(l * n - l * l)
     if not result.is_polynomial():
         raise NonPolynomialResultError(f"non-polynomial CT result for total ({n}): {result}")
     return result

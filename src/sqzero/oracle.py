@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .gf import FiniteField
@@ -73,6 +73,12 @@ def _square_entry_pairs(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
     return tuple((flat_index(n, i, t), flat_index(n, t, j)) for t in range(i + 1, j))
 
 
+@lru_cache(maxsize=None)
+def _check_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Index pairs for every entry (X^2)ij with j >= i+2, row by row."""
+    return tuple(_square_entry_pairs(n, i, j) for i in range(n) for j in range(i + 2, n))
+
+
 def _square_entry(entries, field: FiniteField, pairs) -> int:
     acc = 0
     for u, v in pairs:
@@ -93,11 +99,7 @@ def square_is_zero(mat: StrictUpperMatrix, field: FiniteField) -> bool:
     n = mat.n
     if len(mat.entries) != n * (n - 1) // 2:
         raise ValueError(f"expected {n * (n - 1) // 2} entries for n={n}, got {len(mat.entries)}")
-    return not any(
-        _square_entry(mat.entries, field, _square_entry_pairs(n, i, j))
-        for i in range(n)
-        for j in range(i + 2, n)
-    )
+    return not any(_square_entry(mat.entries, field, pairs) for pairs in _check_plan(n))
 
 
 def _rank_of_rows(rows: list[list[int]], field: FiniteField) -> int:

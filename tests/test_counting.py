@@ -1,11 +1,12 @@
 """The formula engines: frozen small values, cross-agreement, and the
 structural laws the closed form must obey."""
 
+import math
+
 import pytest
 
 from sqzero.counting import (
     TriangularTable,
-    WLaurent,
     alternating_qbinomial_sum,
     alternating_qbinomial_sum_closed,
     closed_form,
@@ -16,30 +17,47 @@ from sqzero.counting import (
 )
 from sqzero.qbinom import binomial
 from sqzero.qpoly import ONE, ZERO, QLaurentPoly
+from sqzero.qbinom import qbinomial
+from sqzero.qpoly import InexactDivisionError
 
 
 def P(terms):
     return QLaurentPoly(terms)
 
 
-class TestWLaurent:
-    def test_constant_term(self):
-        obj = WLaurent({-1: ONE, 0: P({1: 2}), 3: ONE})
-        assert obj.constant_term() == P({1: 2})
-        assert WLaurent().constant_term() == ZERO
+def full_product_constant_term(a, b):
+    """w^0 coefficient of the whole product of two w-Laurent dicts of
+    QLaurentPoly, every coefficient of the product formed first."""
+    product = {}
+    for e1, p1 in a.items():
+        for e2, p2 in b.items():
+            product[e1 + e2] = product.get(e1 + e2, ZERO) + p1 * p2
+    return product.get(0, ZERO)
 
-    def test_zero_coefficients_dropped(self):
-        assert WLaurent({2: ZERO}).support == ()
 
-    def test_shift_and_mul(self):
-        one_minus_w = WLaurent({0: ONE, 1: -ONE})
-        one_plus_w = WLaurent({0: ONE, 1: ONE})
-        assert one_minus_w * one_plus_w == WLaurent({0: ONE, 2: -ONE})
-        assert one_minus_w.shift(-1) == WLaurent({-1: ONE, 0: -ONE})
+def envelope_series(n, shift=0):
+    """(1 - w)(1 + w)^n w^shift as a w-Laurent dict."""
+    return {
+        k + shift: QLaurentPoly.constant(binomial(n, k) - binomial(n, k - 1)) for k in range(n + 2)
+    }
 
-    def test_scale(self):
-        q = P({1: 1})
-        assert WLaurent({0: ONE, 2: ONE}).scale(q) == WLaurent({0: q, 2: q})
+
+def reference_entry(n, r):
+    series = {}
+    for i in range(r + 1):
+        coeff = qbinomial(i + n - 2 * r, i).shift(-((i + 1) * i) // 2 - i * (n - 2 * r))
+        series[i] = -coeff if i % 2 else coeff
+    return full_product_constant_term(envelope_series(n, -r), series).shift(r * (n - r))
+
+
+def reference_total(n):
+    tail = {-l: alternating_qbinomial_sum(n - 2 * l).shift(l * n - l * l) for l in range(n // 2 + 1)}
+    return full_product_constant_term(envelope_series(n), tail)
+
+
+@pytest.fixture(scope="module")
+def table40():
+    return recurrence_table(40)
 
 
 class TestRecurrenceTable:
@@ -196,3 +214,58 @@ class TestFourWayAgreement:
             reference = table.total(n)
             assert closed_form(n) == reference, n
             assert constant_term_total(n) == reference, n
+
+
+class TestAgainstFullProduct:
+    """The w^0 read-off against the whole w-Laurent product it replaces."""
+
+    def test_entries_match_up_to_24(self):
+        for n in range(25):
+            for r in range(n // 2 + 1):
+                assert constant_term_entry(n, r) == reference_entry(n, r), (n, r)
+
+    def test_totals_match_up_to_24(self):
+        for n in range(1, 25):
+            assert constant_term_total(n) == reference_total(n), n
+
+
+class TestEnginesPastTwenty:
+    def test_entries_match_recurrence_to_40(self, table40):
+        for n in range(21, 41):
+            for r in range(n // 2 + 1):
+                assert constant_term_entry(n, r) == table40.entry(n, r), (n, r)
+
+    def test_totals_match_row_sums_to_40(self, table40):
+        for n in range(21, 41):
+            assert constant_term_total(n) == table40.total(n), n
+
+    def test_residuals_vanish_from_16_to_30(self):
+        for n in range(16, 31):
+            for r in range((n + 1) // 2):
+                assert recurrence_residual(n, r) == ZERO, (n, r)
+
+
+class TestInvolutionLaw:
+    """t(n, k) is (q - 1)^k times a polynomial that counts, at q = 1, the
+    involutions of n points with k arcs: n! / (k! 2^k (n - 2k)!)."""
+
+    def test_divisible_and_counts_involutions(self, table40):
+        q_minus_one = P({0: -1, 1: 1})
+        for n in range(41):
+            for k in range(n // 2 + 1):
+                try:
+                    quotient = table40.entry(n, k).exact_div(q_minus_one**k)
+                except InexactDivisionError:
+                    pytest.fail(f"t({n}, {k}) is not divisible by (q - 1)^{k}")
+                involutions = math.factorial(n) // (
+                    math.factorial(k) * 2**k * math.factorial(n - 2 * k)
+                )
+                assert quotient.eval_at(1) == involutions, (n, k)
+
+
+def test_total_expands_the_inner_sum_without_its_closed_form(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the sumanna route must not use the closed form it is checked against")
+
+    monkeypatch.setattr("sqzero.counting.alternating_qbinomial_sum_closed", refuse)
+    assert constant_term_total(12) == recurrence_table(12).total(12)
