@@ -5,6 +5,7 @@ oracle, all in exact integer arithmetic."""
 from .counting import (
     NonPolynomialResultError,
     TriangularTable,
+    WLaurent,
     alternating_qbinomial_sum,
     alternating_qbinomial_sum_closed,
     closed_form,
@@ -34,6 +35,7 @@ __all__ = [
     "Q",
     "binomial",
     "qbinomial",
+    "WLaurent",
     "TriangularTable",
     "NonPolynomialResultError",
     "recurrence_table",

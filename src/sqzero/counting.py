@@ -19,7 +19,7 @@ disagreement surfaces as structural polynomial inequality, never as drift.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .qbinom import binomial, qbinomial
 from .qpoly import ONE, ZERO, QLaurentPoly
@@ -27,6 +27,85 @@ from .qpoly import ONE, ZERO, QLaurentPoly
 
 class NonPolynomialResultError(ArithmeticError):
     """A constant-term extraction produced negative q-exponents (a bug)."""
+
+
+class WLaurent:
+    """Finite Laurent object in w whose coefficients are QLaurentPoly values.
+
+    The engines never form a whole w-Laurent product: they read off its w^0
+    coefficient alone.  This class forms the whole product, and the tests
+    check that read-off against it.
+
+    Support is always finite here: every series that feeds a constant-term
+    extraction is truncated to the w-exponents that can still reach w^0
+    after multiplication, so no formal-power-series machinery is needed.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[int, QLaurentPoly] | None = None):
+        data: dict[int, QLaurentPoly] = {}
+        if terms:
+            for exp, poly in terms.items():
+                if poly:
+                    data[exp] = poly
+        self._terms = data
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted(self._terms))
+
+    def coefficient(self, w_exp: int) -> QLaurentPoly:
+        return self._terms.get(w_exp, ZERO)
+
+    def constant_term(self) -> QLaurentPoly:
+        """The coefficient of w^0."""
+        return self._terms.get(0, ZERO)
+
+    def shift(self, k: int) -> WLaurent:
+        """Multiply by w**k."""
+        if k == 0:
+            return self
+        return WLaurent({e + k: p for e, p in self._terms.items()})
+
+    def scale(self, poly: QLaurentPoly) -> WLaurent:
+        """Multiply every coefficient by a q-polynomial."""
+        return WLaurent({e: p * poly for e, p in self._terms.items()})
+
+    def __add__(self, other: WLaurent) -> WLaurent:
+        if not isinstance(other, WLaurent):
+            return NotImplemented
+        out = dict(self._terms)
+        for e, p in other._terms.items():
+            out[e] = out.get(e, ZERO) + p
+        return WLaurent(out)
+
+    def __mul__(self, other: WLaurent) -> WLaurent:
+        if not isinstance(other, WLaurent):
+            return NotImplemented
+        out: dict[int, QLaurentPoly] = {}
+        for e1, p1 in self._terms.items():
+            for e2, p2 in other._terms.items():
+                e = e1 + e2
+                prod = p1 * p2
+                cur = out.get(e)
+                out[e] = prod if cur is None else cur + prod
+        return WLaurent(out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WLaurent):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{e}: {p}" for e, p in sorted(self._terms.items()))
+        return f"WLaurent({{{inner}}})"
 
 
 class TriangularTable:

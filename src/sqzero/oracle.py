@@ -74,9 +74,14 @@ def _square_entry_pairs(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _check_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Index pairs for every entry (X^2)ij with j >= i+2, row by row."""
-    return tuple(_square_entry_pairs(n, i, j) for i in range(n) for j in range(i + 2, n))
+def _fill_order(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Every above-diagonal (i, j) as its entry-vector index and the index
+    pairs summing to (X^2)ij, column by column, each column from the bottom up."""
+    return tuple(
+        (flat_index(n, i, j), _square_entry_pairs(n, i, j))
+        for j in range(n)
+        for i in range(j - 1, -1, -1)
+    )
 
 
 def _square_entry(entries, field: FiniteField, pairs) -> int:
@@ -99,7 +104,7 @@ def square_is_zero(mat: StrictUpperMatrix, field: FiniteField) -> bool:
     n = mat.n
     if len(mat.entries) != n * (n - 1) // 2:
         raise ValueError(f"expected {n * (n - 1) // 2} entries for n={n}, got {len(mat.entries)}")
-    return not any(_square_entry(mat.entries, field, pairs) for pairs in _check_plan(n))
+    return not any(_square_entry(mat.entries, field, pairs) for _, pairs in _fill_order(n))
 
 
 def _rank_of_rows(rows: list[list[int]], field: FiniteField) -> int:
@@ -143,11 +148,7 @@ def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
     checked.  The first len(prefix) positions in fill order take the prefix's
     values, each checked like any other.  The yielded list is reused.
     """
-    order = [
-        (flat_index(n, i, j), _square_entry_pairs(n, i, j))
-        for j in range(n)
-        for i in range(j - 1, -1, -1)
-    ]
+    order = _fill_order(n)
     entries = [0] * len(order)
     if not order:
         yield entries

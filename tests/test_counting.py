@@ -7,6 +7,7 @@ import pytest
 
 from sqzero.counting import (
     TriangularTable,
+    WLaurent,
     alternating_qbinomial_sum,
     alternating_qbinomial_sum_closed,
     closed_form,
@@ -15,44 +16,53 @@ from sqzero.counting import (
     recurrence_residual,
     recurrence_table,
 )
-from sqzero.qbinom import binomial
-from sqzero.qpoly import ONE, ZERO, QLaurentPoly
-from sqzero.qbinom import qbinomial
-from sqzero.qpoly import InexactDivisionError
+from sqzero.qbinom import binomial, qbinomial
+from sqzero.qpoly import ONE, ZERO, InexactDivisionError, QLaurentPoly
 
 
 def P(terms):
     return QLaurentPoly(terms)
 
 
-def full_product_constant_term(a, b):
-    """w^0 coefficient of the whole product of two w-Laurent dicts of
-    QLaurentPoly, every coefficient of the product formed first."""
-    product = {}
-    for e1, p1 in a.items():
-        for e2, p2 in b.items():
-            product[e1 + e2] = product.get(e1 + e2, ZERO) + p1 * p2
-    return product.get(0, ZERO)
-
-
-def envelope_series(n, shift=0):
-    """(1 - w)(1 + w)^n w^shift as a w-Laurent dict."""
-    return {
-        k + shift: QLaurentPoly.constant(binomial(n, k) - binomial(n, k - 1)) for k in range(n + 2)
-    }
+def envelope(n):
+    """(1 - w)(1 + w)^n as a whole WLaurent."""
+    return WLaurent(
+        {k: QLaurentPoly.constant(binomial(n, k) - binomial(n, k - 1)) for k in range(n + 2)}
+    )
 
 
 def reference_entry(n, r):
+    """t(n, r) from the whole w-Laurent product, every w-coefficient formed."""
     series = {}
     for i in range(r + 1):
         coeff = qbinomial(i + n - 2 * r, i).shift(-((i + 1) * i) // 2 - i * (n - 2 * r))
         series[i] = -coeff if i % 2 else coeff
-    return full_product_constant_term(envelope_series(n, -r), series).shift(r * (n - r))
+    return (envelope(n).shift(-r) * WLaurent(series)).constant_term().shift(r * (n - r))
 
 
 def reference_total(n):
     tail = {-l: alternating_qbinomial_sum(n - 2 * l).shift(l * n - l * l) for l in range(n // 2 + 1)}
-    return full_product_constant_term(envelope_series(n), tail)
+    return (envelope(n) * WLaurent(tail)).constant_term()
+
+
+class TestWLaurent:
+    def test_constant_term(self):
+        obj = WLaurent({-1: ONE, 0: P({1: 2}), 3: ONE})
+        assert obj.constant_term() == P({1: 2})
+        assert WLaurent().constant_term() == ZERO
+
+    def test_zero_coefficients_dropped(self):
+        assert WLaurent({2: ZERO}).support == ()
+
+    def test_shift_and_mul(self):
+        one_minus_w = WLaurent({0: ONE, 1: -ONE})
+        one_plus_w = WLaurent({0: ONE, 1: ONE})
+        assert one_minus_w * one_plus_w == WLaurent({0: ONE, 2: -ONE})
+        assert one_minus_w.shift(-1) == WLaurent({-1: ONE, 0: -ONE})
+
+    def test_scale(self):
+        q = P({1: 1})
+        assert WLaurent({0: ONE, 2: ONE}).scale(q) == WLaurent({0: q, 2: q})
 
 
 @pytest.fixture(scope="module")
