@@ -3,7 +3,8 @@ whose square is zero, and count them totally and by rank.
 
 Its entire value as a cross-check comes from sharing no machinery with the
 polynomial engines it is compared against, so the search takes no algebraic
-shortcut: it prunes only on entries of X^2 computed with field add and mul.
+shortcut: it prunes only on entries of X^2 computed with field add and mul,
+and ranks by reducing columns with field add, mul, neg and inv.
 
 Only strictly upper-triangular matrices are enumerated.  That loses
 nothing: for a triangular X the diagonal of X^2 consists of the squares of
@@ -137,6 +138,37 @@ def matrix_rank(mat: StrictUpperMatrix, field: FiniteField) -> int:
     return _rank_of_rows(mat.rows(), field)
 
 
+@lru_cache(maxsize=None)
+def _columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry-vector indices of each column of X, top row first."""
+    return tuple(tuple(flat_index(n, i, j) for i in range(j)) for j in range(n))
+
+
+def _reduce(column: list[int], basis, field: FiniteField) -> list[int]:
+    """Subtract from ``column``, in place, its components along an echelon
+    basis: (pivot, vector) pairs, each vector a tuple of its nonzero
+    (row, value) entries with value 1 at its pivot and 0 at every earlier
+    pair's pivot.  What is left is zero iff the column lies in the span."""
+    for p, vector in basis:
+        c = column[p]
+        if c:
+            c = field.neg(c)
+            for i, y in vector:
+                column[i] = field.add(column[i], field.mul(c, y))
+    return column
+
+
+def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
+    """The echelon basis of span(basis, column)."""
+    column = _reduce(column, basis, field)
+    for p, x in enumerate(column):
+        if x:
+            inv = field.inv(x)
+            vector = tuple((i, field.mul(inv, y)) for i, y in enumerate(column) if y)
+            return basis + ((p, vector),)
+    return basis
+
+
 def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
     """Yield every square-zero X as its row-major entry list, by a depth-first
     search that fills X column by column, each column from the bottom up.
@@ -146,7 +178,9 @@ def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
     before any value of X[i][j] is tried.  Each entry of X^2 with j >= i+2 is
     checked exactly once on the path to a leaf, so every yielded X is fully
     checked.  The first len(prefix) positions in fill order take the prefix's
-    values, each checked like any other.  The yielded list is reused.
+    values, each checked like any other.  The yielded list is reused.  This
+    search does no rank work; _ranked_solutions is the same search with the
+    rank carried along.
     """
     order = _fill_order(n)
     entries = [0] * len(order)
@@ -169,13 +203,51 @@ def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
             tries.pop()
 
 
+def _ranked_solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
+    """Yield (entries, rank of X) for every X that _solutions yields, in the
+    same order, by the same search.
+
+    The rank is carried down the search as a column echelon basis, one slot
+    per column: when (0, j) is assigned, column j is complete and is reduced
+    against basis[j-1] into basis[j]; backtracking just overwrites the slot.
+    A leaf reduces only its last column.  The search is kept apart from
+    _solutions so that counting alone pays nothing for the rank.
+    """
+    order = _fill_order(n)
+    entries = [0] * len(order)
+    if not order:
+        yield entries, 0
+        return
+    last = len(order) - 1
+    columns = _columns(n)
+    basis = [()] * n  # basis[j]: echelon basis of columns 0..j
+    tries = [iter(prefix[:1] or field.elements())]
+    while tries:
+        depth = len(tries) - 1
+        pos = order[depth][0]
+        for x in tries[depth]:
+            entries[pos] = x
+            if depth == last:
+                column = _reduce([entries[k] for k in columns[-1]], basis[-2], field)
+                yield entries, len(basis[-2]) + any(column)
+            elif not _square_entry(entries, field, order[depth + 1][1]):
+                if not order[depth + 1][1]:
+                    # Only (i, i+1) has no pairs, and it follows (0, i) in
+                    # fill order, so this assignment completed column pos + 1.
+                    j = pos + 1
+                    basis[j] = _extend(basis[j - 1], [entries[k] for k in columns[j]], field)
+                tries.append(iter(prefix[depth + 1 : depth + 2] or field.elements()))
+                break
+        else:
+            tries.pop()
+
+
 def _partition_counts(n: int, q: int, by_rank: bool, prefix: tuple[int, ...]):
     """Count the solutions whose first fill positions hold ``prefix``."""
     field = FiniteField(q)
-    leaves = _solutions(n, field, prefix)
     if not by_rank:
-        return sum(1 for _ in leaves)
-    return Counter(_rank_of_rows(StrictUpperMatrix(n, entries).rows(), field) for entries in leaves)
+        return sum(1 for _ in _solutions(n, field, prefix))
+    return Counter(rank for _, rank in _ranked_solutions(n, field, prefix))
 
 
 def _enumerate(n: int, q: int, budget: int, workers: int, by_rank: bool):
@@ -214,6 +286,11 @@ def count_by_rank(
     n: int, q: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> dict[int, int]:
     """Square-zero count partitioned by matrix rank; only ranks that occur
-    appear, and the values sum to count_square_zero(n, q)."""
+    appear, and the values sum to count_square_zero(n, q).
+
+    The rank is kept as a column echelon basis along the same search that
+    count_square_zero runs: each column is reduced once, when it is
+    complete, so a leaf costs one reduction of its last column.  Counting
+    alone does no rank work."""
     ranks = _enumerate(n, q, budget, workers, by_rank=True)
     return dict(sorted(ranks.items()))

@@ -167,3 +167,6 @@ def test_criterion_9_rank_refinement():
             for n in range(1, n_hi + 1):
                 expected = {r: constant_term_entry(n, r).eval_at(q) for r in range(n // 2 + 1)}
                 assert count_by_rank(n, q) == expected, f"(n={n}, q={q})"
+        for n, q in [(7, 2), (6, 3), (4, 7), (4, 8), (4, 9)]:
+            expected = {r: constant_term_entry(n, r).eval_at(q) for r in range(n // 2 + 1)}
+            assert count_by_rank(n, q) == expected, f"(n={n}, q={q})"

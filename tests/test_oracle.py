@@ -11,6 +11,8 @@ from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
     BudgetExceededError,
     StrictUpperMatrix,
+    _partition_counts,
+    _ranked_solutions,
     _solutions,
     count_by_rank,
     count_square_zero,
@@ -163,3 +165,24 @@ class TestAgainstOdometer:
         assert not all(parts)
         assert sum(map(len, parts)) == len(set().union(*parts))
         assert set().union(*parts) == odometer_solutions(4, 3)
+
+
+class TestTrackedRank:
+    """The rank carried down the search against a full elimination of each
+    leaf, at points beyond the odometer grid."""
+
+    @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2)], ids=lambda v: str(v))
+    def test_every_leaf_rank_equals_matrix_rank(self, n, q):
+        field = FiniteField(q)
+        leaves = []
+        for entries, rank in _ranked_solutions(n, field):
+            assert rank == matrix_rank(StrictUpperMatrix(n, tuple(entries)), field), entries
+            leaves.append(tuple(entries))
+        assert leaves == [tuple(entries) for entries in _solutions(n, field)]
+
+    @pytest.mark.parametrize("n,q", [(5, 3), (4, 4)], ids=lambda v: str(v))
+    def test_prefix_rank_counts_sum_to_the_whole(self, n, q):
+        # Both prefix positions, (0, 1) and (1, 2), feed the basis: the first
+        # completes column 1.  No worker pool is started.
+        parts = [_partition_counts(n, q, True, prefix) for prefix in itertools.product(range(q), repeat=2)]
+        assert sum(parts, Counter()) == count_by_rank(n, q)
