@@ -75,11 +75,17 @@ def _square_entry_pairs(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _fill_order(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Every above-diagonal (i, j) as its entry-vector index and the index
-    pairs summing to (X^2)ij, column by column, each column from the bottom up."""
+def _fill_order(n: int) -> tuple:
+    """Every above-diagonal (i, j), column by column, each column from the
+    bottom up, as its entry-vector index, the index pairs summing to (X^2)ij,
+    and what it completes: at (0, j), the last of column j in this order, the
+    pair (j, entry-vector indices of column j top row first); elsewhere None."""
     return tuple(
-        (flat_index(n, i, j), _square_entry_pairs(n, i, j))
+        (
+            flat_index(n, i, j),
+            _square_entry_pairs(n, i, j),
+            (j, tuple(flat_index(n, t, j) for t in range(j))) if i == 0 else None,
+        )
         for j in range(n)
         for i in range(j - 1, -1, -1)
     )
@@ -105,7 +111,7 @@ def square_is_zero(mat: StrictUpperMatrix, field: FiniteField) -> bool:
     n = mat.n
     if len(mat.entries) != n * (n - 1) // 2:
         raise ValueError(f"expected {n * (n - 1) // 2} entries for n={n}, got {len(mat.entries)}")
-    return not any(_square_entry(mat.entries, field, pairs) for _, pairs in _fill_order(n))
+    return not any(_square_entry(mat.entries, field, pairs) for _, pairs, _ in _fill_order(n))
 
 
 def _rank_of_rows(rows: list[list[int]], field: FiniteField) -> int:
@@ -138,12 +144,6 @@ def matrix_rank(mat: StrictUpperMatrix, field: FiniteField) -> int:
     return _rank_of_rows(mat.rows(), field)
 
 
-@lru_cache(maxsize=None)
-def _columns(n: int) -> tuple[tuple[int, ...], ...]:
-    """Entry-vector indices of each column of X, top row first."""
-    return tuple(tuple(flat_index(n, i, j) for i in range(j)) for j in range(n))
-
-
 def _reduce(column: list[int], basis, field: FiniteField) -> list[int]:
     """Subtract from ``column``, in place, its components along an echelon
     basis: (pivot, vector) pairs, each vector a tuple of its nonzero
@@ -169,7 +169,7 @@ def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
     return basis
 
 
-def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
+def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = (), ranked: bool = False):
     """Yield every square-zero X as its row-major entry list, by a depth-first
     search that fills X column by column, each column from the bottom up.
 
@@ -178,16 +178,22 @@ def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
     before any value of X[i][j] is tried.  Each entry of X^2 with j >= i+2 is
     checked exactly once on the path to a leaf, so every yielded X is fully
     checked.  The first len(prefix) positions in fill order take the prefix's
-    values, each checked like any other.  The yielded list is reused.  This
-    search does no rank work; _ranked_solutions is the same search with the
-    rank carried along.
+    values, each checked like any other.  The yielded list is reused.
+
+    With ``ranked``, each leaf is yielded as (entries, rank of X), the rank
+    kept as a column echelon basis along the search, one slot per column:
+    once the position completing column j is assigned and survives its
+    check, the column is reduced against basis[j-1] into basis[j], and
+    backtracking just overwrites the slot.  A leaf reduces only its last
+    column.  Without ``ranked`` the search does no rank work.
     """
     order = _fill_order(n)
     entries = [0] * len(order)
     if not order:
-        yield entries
+        yield (entries, 0) if ranked else entries
         return
     last = len(order) - 1
+    basis = [()] * n  # basis[j]: echelon basis of columns 0..j
     tries = [iter(prefix[:1] or field.elements())]  # (0, 1) has nothing to check
     while tries:
         depth = len(tries) - 1
@@ -195,47 +201,16 @@ def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
         for x in tries[depth]:
             entries[pos] = x
             if depth == last:
-                yield entries
+                if ranked:
+                    j, column = order[depth][2]
+                    left = _reduce([entries[k] for k in column], basis[j - 1], field)
+                    yield entries, len(basis[j - 1]) + any(left)
+                else:
+                    yield entries
             elif not _square_entry(entries, field, order[depth + 1][1]):
-                tries.append(iter(prefix[depth + 1 : depth + 2] or field.elements()))
-                break
-        else:
-            tries.pop()
-
-
-def _ranked_solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
-    """Yield (entries, rank of X) for every X that _solutions yields, in the
-    same order, by the same search.
-
-    The rank is carried down the search as a column echelon basis, one slot
-    per column: when (0, j) is assigned, column j is complete and is reduced
-    against basis[j-1] into basis[j]; backtracking just overwrites the slot.
-    A leaf reduces only its last column.  The search is kept apart from
-    _solutions so that counting alone pays nothing for the rank.
-    """
-    order = _fill_order(n)
-    entries = [0] * len(order)
-    if not order:
-        yield entries, 0
-        return
-    last = len(order) - 1
-    columns = _columns(n)
-    basis = [()] * n  # basis[j]: echelon basis of columns 0..j
-    tries = [iter(prefix[:1] or field.elements())]
-    while tries:
-        depth = len(tries) - 1
-        pos = order[depth][0]
-        for x in tries[depth]:
-            entries[pos] = x
-            if depth == last:
-                column = _reduce([entries[k] for k in columns[-1]], basis[-2], field)
-                yield entries, len(basis[-2]) + any(column)
-            elif not _square_entry(entries, field, order[depth + 1][1]):
-                if not order[depth + 1][1]:
-                    # Only (i, i+1) has no pairs, and it follows (0, i) in
-                    # fill order, so this assignment completed column pos + 1.
-                    j = pos + 1
-                    basis[j] = _extend(basis[j - 1], [entries[k] for k in columns[j]], field)
+                if ranked and order[depth][2]:
+                    j, column = order[depth][2]
+                    basis[j] = _extend(basis[j - 1], [entries[k] for k in column], field)
                 tries.append(iter(prefix[depth + 1 : depth + 2] or field.elements()))
                 break
         else:
@@ -244,10 +219,10 @@ def _ranked_solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = ()):
 
 def _partition_counts(n: int, q: int, by_rank: bool, prefix: tuple[int, ...]):
     """Count the solutions whose first fill positions hold ``prefix``."""
-    field = FiniteField(q)
+    solutions = _solutions(n, FiniteField(q), prefix, ranked=by_rank)
     if not by_rank:
-        return sum(1 for _ in _solutions(n, field, prefix))
-    return Counter(rank for _, rank in _ranked_solutions(n, field, prefix))
+        return sum(1 for _ in solutions)
+    return Counter(rank for _, rank in solutions)
 
 
 def _enumerate(n: int, q: int, budget: int, workers: int, by_rank: bool):
