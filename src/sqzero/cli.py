@@ -16,59 +16,30 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import counting, oracle
 from .qpoly import InexactDivisionError, QLaurentPoly
 
-COMPUTE_METHODS = ("closed", "recurrence", "anna", "sumanna")
+# verify builds one table of this engine and checks every other one against it.
+_REFERENCE = "recurrence"
 
 
-@dataclass
-class OutputRecord:
-    """One machine-readable result row.
-
-    ``polynomial`` is present for formula methods; ``value`` is present
-    whenever a q was supplied.
-    """
-
-    n: int
-    method: str
-    q: int | None = None
-    polynomial: QLaurentPoly | None = None
-    value: int | None = None
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {"n": self.n, "method": self.method}
-        if self.q is not None:
-            obj["q"] = self.q
-        if self.polynomial is not None:
-            obj["polynomial"] = {
-                str(e): str(c) for e, c in sorted(self.polynomial.terms.items())
-            }
-        if self.value is not None:
-            obj["value"] = str(self.value)
-        return obj
+def _record(n: int, method: str, q: int | None, polynomial: QLaurentPoly | None, value: int | None) -> dict:
+    """One machine-readable result row; ``q``, ``polynomial`` and ``value``
+    are left out when None."""
+    obj: dict = {"n": n, "method": method}
+    if q is not None:
+        obj["q"] = q
+    if polynomial is not None:
+        obj["polynomial"] = {str(e): str(c) for e, c in sorted(polynomial.terms.items())}
+    if value is not None:
+        obj["value"] = str(value)
+    return obj
 
 
 def polynomial_from_json_terms(terms: dict) -> QLaurentPoly:
     """Rebuild a polynomial from the JSON term map (string keys/values)."""
     return QLaurentPoly({int(e): int(c) for e, c in terms.items()})
-
-
-def _engine_polynomial(n: int, method: str) -> QLaurentPoly:
-    if method == "closed":
-        return counting.closed_form(n)
-    if method == "recurrence":
-        return counting.recurrence_table(n).total(n)
-    if method == "anna":
-        total = counting.constant_term_entry(n, 0)
-        for r in range(1, n // 2 + 1):
-            total = total + counting.constant_term_entry(n, r)
-        return total
-    if method == "sumanna":
-        return counting.constant_term_total(n)
-    raise ValueError(f"unknown method: {method}")
 
 
 def _print_csv(header: list[str], rows) -> None:
@@ -85,11 +56,10 @@ def _cmd_compute(args) -> int:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.q is not None and args.q < 1:
         raise ValueError(f"--q must be a positive integer, got {args.q}")
-    poly = _engine_polynomial(args.n, args.method)
+    poly = counting.engine_total(args.method, args.n)
     value = poly.eval_at(args.q) if args.q is not None else None
-    record = OutputRecord(n=args.n, method=args.method, q=args.q, polynomial=poly, value=value)
     if args.format == "json":
-        print(json.dumps(record.to_json_obj()))
+        print(json.dumps(_record(args.n, args.method, args.q, poly, value)))
     elif args.format == "csv":
         _print_csv(["n", "method", "q", "polynomial", "value"], [[args.n, args.method, args.q, poly, value]])
     else:
@@ -103,19 +73,25 @@ def _cmd_verify(args) -> int:
     table = counting.recurrence_table(args.n_max)
     mismatches: list[str] = []
     for n in range(1, args.n_max + 1):
+        entries = table.row(n)
         reference = table.total(n)
-        row_issues: list[str] = []
-        for name, value in (
-            ("closed", counting.closed_form(n)),
-            ("sumanna", counting.constant_term_total(n)),
-        ):
-            if value != reference:
-                row_issues.append(f"n={n}: {name} [{value}] != recurrence [{reference}]")
-        for r in range(n // 2 + 1):
-            formula = counting.constant_term_entry(n, r)
-            entry = table.entry(n, r)
-            if formula != entry:
-                row_issues.append(f"n={n} r={r}: anna [{formula}] != recurrence [{entry}]")
+        total_issues: list[str] = []
+        entry_issues: list[str] = []
+        for name, engine in counting.ENGINES.items():
+            if name == _REFERENCE:
+                continue
+            out = engine(n)
+            if isinstance(out, QLaurentPoly):
+                if out != reference:
+                    total_issues.append(f"n={n}: {name} [{out}] != {_REFERENCE} [{reference}]")
+            else:
+                entry_issues += [
+                    f"n={n} r={r}: {name} [{got}] != {_REFERENCE} [{want}]"
+                    for r, (got, want) in enumerate(zip(out, entries, strict=True))
+                    if got != want
+                ]
+        # Totals are reported before entries, whatever the order of ENGINES.
+        row_issues = total_issues + entry_issues
         if row_issues:
             for issue in row_issues:
                 print(f"MISMATCH {issue}")
@@ -152,10 +128,10 @@ def _cmd_oracle(args) -> int:
     match = count == formula and not issues
     if args.format == "json":
         records = [
-            OutputRecord(n=args.n, method="oracle", q=args.q, value=count),
-            OutputRecord(n=args.n, method="closed", q=args.q, polynomial=formula_poly, value=formula),
+            _record(args.n, "oracle", args.q, None, count),
+            _record(args.n, "closed", args.q, formula_poly, formula),
         ]
-        print(json.dumps([rec.to_json_obj() for rec in records]))
+        print(json.dumps(records))
         for issue in issues:
             print(issue, file=sys.stderr)
     else:
@@ -197,16 +173,12 @@ def _cmd_table(args) -> int:
         raise ValueError(f"--q-list values must be positive, got {q_list}")
     polys = {n: counting.closed_form(n) for n in range(1, args.n_max + 1)}
     if args.format == "json":
-        records: list[OutputRecord] = []
-        for n, poly in polys.items():
-            if q_list:
-                for q in q_list:
-                    records.append(
-                        OutputRecord(n=n, method="closed", q=q, polynomial=poly, value=poly.eval_at(q))
-                    )
-            else:
-                records.append(OutputRecord(n=n, method="closed", polynomial=poly))
-        print(json.dumps([rec.to_json_obj() for rec in records]))
+        records = [
+            _record(n, "closed", q, poly, None if q is None else poly.eval_at(q))
+            for n, poly in polys.items()
+            for q in q_list or [None]
+        ]
+        print(json.dumps(records))
     elif args.format == "csv":
         _print_csv(
             ["n", "polynomial"] + [str(q) for q in q_list],
@@ -239,11 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="matrix dimension (>= 1)")
     p.add_argument(
         "--method",
-        choices=COMPUTE_METHODS,
+        choices=tuple(counting.ENGINES),
         default="closed",
-        help="closed: closed form; recurrence: table row sum; "
-        "anna: per-index constant-term formula summed; "
-        "sumanna: single constant-term formula",
+        help="which engine computes the polynomial; every engine gives the same one",
     )
     p.add_argument("--q", type=int, help="also evaluate at q (any positive integer)")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -10,6 +10,10 @@ Independent routes produce the same polynomials:
 * ``constant_term_total(n)`` rebuilds a whole row sum the same way, with
   the inner alternating q-binomial sum expanded term by term.
 
+``ENGINES`` is the one list of these routes, by the method names the CLI
+takes: ``compute --method`` reads its choices from it and ``verify`` checks
+every entry.  Adding a route means adding one entry there.
+
 ``recurrence_residual`` substitutes the constant-term formula into the
 recurrence and returns what must be the zero polynomial;
 ``alternating_qbinomial_sum`` and its closed form are the two sides of the
@@ -19,7 +23,7 @@ disagreement surfaces as structural polynomial inequality, never as drift.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .qbinom import binomial, qbinomial
 from .qpoly import ONE, ZERO, QLaurentPoly
@@ -127,14 +131,15 @@ class TriangularTable:
             raise ValueError(f"row {n} outside table (n_max={self.n_max})")
         return self._entries.get((n, r), ZERO)
 
-    def total(self, n: int) -> QLaurentPoly:
-        """Row sum over all stored r."""
+    def row(self, n: int) -> list[QLaurentPoly]:
+        """The entries t(n, 0..n//2)."""
         if not 0 <= n <= self.n_max:
             raise ValueError(f"row {n} outside table (n_max={self.n_max})")
-        out = ZERO
-        for r in range(n // 2 + 1):
-            out = out + self._entries.get((n, r), ZERO)
-        return out
+        return [self._entries.get((n, r), ZERO) for r in range(n // 2 + 1)]
+
+    def total(self, n: int) -> QLaurentPoly:
+        """Row sum over all stored r."""
+        return sum(self.row(n), ZERO)
 
     def items(self) -> Iterator[tuple[tuple[int, int], QLaurentPoly]]:
         return iter(sorted(self._entries.items()))
@@ -152,12 +157,17 @@ def recurrence_table(n_max: int) -> TriangularTable:
     entries: dict[tuple[int, int], QLaurentPoly] = {(0, 0): ONE}
     for n in range(n_max):
         entries[(n + 1, 0)] = ONE
-        for r1 in range(1, (n + 1) // 2 + 1):
-            r = r1 - 1
-            same = entries.get((n, r1), ZERO).shift(r1)
-            step_coeff = QLaurentPoly.monomial(1, n - r) - QLaurentPoly.monomial(1, r)
-            entries[(n + 1, r1)] = same + step_coeff * entries.get((n, r), ZERO)
+        for r in range((n + 1) // 2):
+            entries[(n + 1, r + 1)] = _recurrence_step(
+                n, r, entries.get((n, r + 1), ZERO), entries.get((n, r), ZERO)
+            )
     return TriangularTable(n_max, entries)
+
+
+def _recurrence_step(n: int, r: int, t_same: QLaurentPoly, t_lower: QLaurentPoly) -> QLaurentPoly:
+    """The recurrence's right side q^(r+1) t(n, r+1) + (q^(n-r) - q^r) t(n, r),
+    given t(n, r+1) and t(n, r), as shifts alone."""
+    return t_same.shift(r + 1) + t_lower.shift(n - r) - t_lower.shift(r)
 
 
 def closed_form(n: int) -> QLaurentPoly:
@@ -223,14 +233,8 @@ def recurrence_residual(n: int, r: int) -> QLaurentPoly:
     """
     if not 0 <= 2 * (r + 1) <= n + 1:
         raise ValueError(f"need 0 <= 2(r+1) <= n+1, got n={n}, r={r}")
-
-    def entry_or_zero(nn: int, rr: int) -> QLaurentPoly:
-        return constant_term_entry(nn, rr) if 2 * rr <= nn else ZERO
-
-    step = constant_term_entry(n + 1, r + 1)
-    same = entry_or_zero(n, r + 1).shift(r + 1)
-    step_coeff = QLaurentPoly.monomial(1, n - r) - QLaurentPoly.monomial(1, r)
-    return step - same - step_coeff * entry_or_zero(n, r)
+    same = constant_term_entry(n, r + 1) if 2 * (r + 1) <= n else ZERO
+    return constant_term_entry(n + 1, r + 1) - _recurrence_step(n, r, same, constant_term_entry(n, r))
 
 
 def alternating_qbinomial_sum(m: int) -> QLaurentPoly:
@@ -283,3 +287,21 @@ def constant_term_total(n: int) -> QLaurentPoly:
     if not result.is_polynomial():
         raise NonPolynomialResultError(f"non-polynomial CT result for total ({n}): {result}")
     return result
+
+
+# Each route to row n, by method name, in the order ``verify`` reports
+# them.  ``closed`` and ``sumanna`` give the row total; ``recurrence`` and
+# ``anna`` give the entries t(n, 0..n//2).  Each looks its engine up by name
+# when called, so a patched or traced module function is the one that runs.
+ENGINES: dict[str, Callable[[int], QLaurentPoly | list[QLaurentPoly]]] = {
+    "closed": lambda n: closed_form(n),
+    "recurrence": lambda n: recurrence_table(n).row(n),
+    "anna": lambda n: [constant_term_entry(n, r) for r in range(n // 2 + 1)],
+    "sumanna": lambda n: constant_term_total(n),
+}
+
+
+def engine_total(name: str, n: int) -> QLaurentPoly:
+    """The row total of engine ``name`` at n: its result, or the sum of its entries."""
+    out = ENGINES[name](n)
+    return out if isinstance(out, QLaurentPoly) else sum(out, ZERO)

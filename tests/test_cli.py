@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit-code contract, JSON round-trips."""
 
+import argparse
 import csv
 import io
 import json
@@ -124,19 +125,41 @@ class TestVerify:
     def test_invalid_bound(self, capsys):
         assert run(capsys, "verify", "--n-max", "0")[0] == 2
 
-    def test_corrupted_engine_fails_with_located_diff(self, capsys, monkeypatch):
-        real = counting.closed_form
+    @pytest.mark.parametrize(
+        "target,located",
+        [
+            ("closed_form", "MISMATCH n=4: closed"),
+            ("constant_term_total", "MISMATCH n=4: sumanna"),
+            ("constant_term_entry", "MISMATCH n=4 r=1: anna"),
+        ],
+    )
+    def test_corrupted_engine_fails_with_located_diff(self, capsys, monkeypatch, target, located):
+        real = getattr(counting, target)
 
-        def corrupted(n):
-            poly = real(n)
+        def corrupted(n, *rest):
+            poly = real(n, *rest)
             return poly + QLaurentPoly({0: 1}) if n == 4 else poly
 
-        monkeypatch.setattr(counting, "closed_form", corrupted)
+        monkeypatch.setattr(counting, target, corrupted)
         code, out, _ = run(capsys, "verify", "--n-max", "5")
         assert code == 1
-        assert "MISMATCH n=4: closed" in out
+        assert located in out
         assert "verify: FAIL" in out
         assert "n=3: OK" in out
+
+    def test_builds_one_reference_table(self, capsys, monkeypatch):
+        real = counting.recurrence_table
+        calls = []
+
+        def counted(n_max):
+            calls.append(n_max)
+            return real(n_max)
+
+        monkeypatch.setattr(counting, "recurrence_table", counted)
+        code, out, _ = run(capsys, "verify", "--n-max", "40")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("verify: PASS")
+        assert calls == [40]
 
 
 class TestOracle:
@@ -339,3 +362,9 @@ class TestParserPlumbing:
 
     def test_console_entry_point_matches_main(self):
         assert cli.build_parser().prog == "sqzero"
+
+    def test_method_choices_are_the_engines_in_order(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in commands.choices["compute"]._actions if a.dest == "method")
+        assert list(method.choices) == list(counting.ENGINES)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from sqzero.counting import (
+    ENGINES,
     TriangularTable,
     WLaurent,
     alternating_qbinomial_sum,
@@ -13,6 +14,7 @@ from sqzero.counting import (
     closed_form,
     constant_term_entry,
     constant_term_total,
+    engine_total,
     recurrence_residual,
     recurrence_table,
 )
@@ -108,6 +110,18 @@ class TestRecurrenceTable:
     def test_negative_n_max_raises(self):
         with pytest.raises(ValueError):
             recurrence_table(-1)
+
+    def test_matches_the_step_with_its_coefficient_multiplied_to_60(self):
+        table = recurrence_table(60)
+        prev = [ONE]
+        for n in range(60):
+            row = [ONE]
+            for r in range((n + 1) // 2):
+                same = prev[r + 1] if r + 1 < len(prev) else ZERO
+                coeff = QLaurentPoly.monomial(1, n - r) - QLaurentPoly.monomial(1, r)
+                row.append(same.shift(r + 1) + coeff * prev[r])
+            assert row == table.row(n + 1), n + 1
+            prev = row
 
 
 class TestClosedForm:
@@ -224,6 +238,13 @@ class TestFourWayAgreement:
             reference = table.total(n)
             assert closed_form(n) == reference, n
             assert constant_term_total(n) == reference, n
+
+
+class TestEngineTable:
+    @pytest.mark.parametrize("name", list(ENGINES))
+    def test_every_total_is_the_closed_form(self, name):
+        for n in range(1, 13):
+            assert engine_total(name, n) == closed_form(n), n
 
 
 class TestAgainstFullProduct:

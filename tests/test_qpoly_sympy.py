@@ -1,8 +1,9 @@
 """QLaurentPoly arithmetic against sympy on seeded random Laurent polynomials.
 
-sympy is not a dependency of the package; without it this module is skipped.
-Laurent polynomials become sympy polynomials after multiplying by a common
-power q^SHIFT, which clears every negative exponent drawn here.
+sympy is in the package's `test` extra, not its dependencies; without it
+this module is skipped.  Laurent polynomials become sympy polynomials after
+multiplying by a common power q^SHIFT, which clears every negative exponent
+drawn here.
 """
 
 import random
