@@ -289,7 +289,7 @@ def constant_term_total(n: int) -> QLaurentPoly:
     return result
 
 
-# Each route to row n, by method name, in the order ``verify`` reports
+# Each route to row n, by method name, in the order ``--method`` lists
 # them.  ``closed`` and ``sumanna`` give the row total; ``recurrence`` and
 # ``anna`` give the entries t(n, 0..n//2).  Each looks its engine up by name
 # when called, so a patched or traced module function is the one that runs.

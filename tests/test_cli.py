@@ -132,6 +132,7 @@ class TestVerify:
             ("constant_term_total", "MISMATCH n=4: sumanna"),
             ("constant_term_entry", "MISMATCH n=4 r=1: anna"),
         ],
+        ids=["closed_form", "constant_term_total", "constant_term_entry"],
     )
     def test_corrupted_engine_fails_with_located_diff(self, capsys, monkeypatch, target, located):
         real = getattr(counting, target)
