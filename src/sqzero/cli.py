@@ -127,11 +127,10 @@ def _cmd_oracle(args) -> int:
     formula = formula_poly.eval_at(args.q)
     match = count == formula and not issues
     if args.format == "json":
-        records = [
-            _record(args.n, "oracle", args.q, None, count),
-            _record(args.n, "closed", args.q, formula_poly, formula),
-        ]
-        print(json.dumps(records))
+        found = _record(args.n, "oracle", args.q, None, count)
+        if args.by_rank:
+            found["ranks"] = {str(r): str(c) for r, c in ranks.items()}
+        print(json.dumps([found, _record(args.n, "closed", args.q, formula_poly, formula)]))
         for issue in issues:
             print(issue, file=sys.stderr)
     else:
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes (default 1: no pool); the count is worker-independent",
+        help="ignored: the search runs in one process (kept for scripts that pass it)",
     )
     p.add_argument(
         "--budget",

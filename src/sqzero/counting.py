@@ -231,8 +231,8 @@ def recurrence_residual(n: int, r: int) -> QLaurentPoly:
     with ct(n, s) taken as zero when 2s > n.  Identically the zero
     polynomial when the constant-term formula satisfies the recurrence.
     """
-    if not 0 <= 2 * (r + 1) <= n + 1:
-        raise ValueError(f"need 0 <= 2(r+1) <= n+1, got n={n}, r={r}")
+    if not (r >= 0 and 2 * (r + 1) <= n + 1):
+        raise ValueError(f"recurrence_residual needs r >= 0 and 2(r+1) <= n+1, got n={n}, r={r}")
     same = constant_term_entry(n, r + 1) if 2 * (r + 1) <= n else ZERO
     return constant_term_entry(n + 1, r + 1) - _recurrence_step(n, r, same, constant_term_entry(n, r))
 

@@ -15,10 +15,8 @@ diagonal and the two counts coincide.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from .gf import FiniteField
@@ -169,7 +167,7 @@ def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
     return basis
 
 
-def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = (), ranked: bool = False):
+def _solutions(n: int, field: FiniteField, ranked: bool = False):
     """Yield every square-zero X as its row-major entry list, by a depth-first
     search that fills X column by column, each column from the bottom up.
 
@@ -177,8 +175,7 @@ def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = (), ranked:
     is already filled, so (X^2)ij is fixed; a nonzero one prunes the subtree
     before any value of X[i][j] is tried.  Each entry of X^2 with j >= i+2 is
     checked exactly once on the path to a leaf, so every yielded X is fully
-    checked.  The first len(prefix) positions in fill order take the prefix's
-    values, each checked like any other.  The yielded list is reused.
+    checked.  The yielded list is reused.
 
     With ``ranked``, each leaf is yielded as (entries, rank of X), the rank
     kept as a column echelon basis along the search, one slot per column:
@@ -194,7 +191,7 @@ def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = (), ranked:
         return
     last = len(order) - 1
     basis = [()] * n  # basis[j]: echelon basis of columns 0..j
-    tries = [iter(prefix[:1] or field.elements())]  # (0, 1) has nothing to check
+    tries = [iter(field.elements())]  # (0, 1) has nothing to check
     while tries:
         depth = len(tries) - 1
         pos = order[depth][0]
@@ -211,41 +208,23 @@ def _solutions(n: int, field: FiniteField, prefix: tuple[int, ...] = (), ranked:
                 if ranked and order[depth][2]:
                     j, column = order[depth][2]
                     basis[j] = _extend(basis[j - 1], [entries[k] for k in column], field)
-                tries.append(iter(prefix[depth + 1 : depth + 2] or field.elements()))
+                tries.append(iter(field.elements()))
                 break
         else:
             tries.pop()
 
 
-def _partition_counts(n: int, q: int, by_rank: bool, prefix: tuple[int, ...]):
-    """Count the solutions whose first fill positions hold ``prefix``."""
-    solutions = _solutions(n, FiniteField(q), prefix, ranked=by_rank)
+def _enumerate(n: int, q: int, budget: int, by_rank: bool):
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    field = FiniteField(q)  # validates q before the budget check
+    required = q ** (n * (n - 1) // 2)
+    if required > budget:
+        raise BudgetExceededError(required, budget)
+    solutions = _solutions(n, field, ranked=by_rank)
     if not by_rank:
         return sum(1 for _ in solutions)
     return Counter(rank for _, rank in solutions)
-
-
-def _enumerate(n: int, q: int, budget: int, workers: int, by_rank: bool):
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    FiniteField(q)  # validates q up front
-    length = n * (n - 1) // 2
-    required = q**length
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-    count = partial(_partition_counts, n, q, by_rank)
-    if workers <= 1:
-        return count(())
-    # Partition on a prefix of the fill order: every worker searches a
-    # disjoint slice, and summing the slices is independent of how many
-    # workers ran or how slices were scheduled.
-    prefix_len = 0
-    while q**prefix_len < workers and prefix_len < length:
-        prefix_len += 1
-    prefixes = itertools.product(range(q), repeat=prefix_len)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(count, prefixes)
-        return sum(parts, Counter()) if by_rank else sum(parts)
 
 
 def count_square_zero(
@@ -253,8 +232,11 @@ def count_square_zero(
 ) -> int:
     """Exact number of n x n strictly upper-triangular matrices over GF(q)
     whose square is zero, by a pruned search that fully checks each one it
-    counts; the budget bounds all q^(n(n-1)/2) candidates."""
-    return _enumerate(n, q, budget, workers, by_rank=False)
+    counts; the budget bounds all q^(n(n-1)/2) candidates.
+
+    The search always runs in the calling process.  ``workers`` is accepted
+    and ignored, only because the benchmark still passes it."""
+    return _enumerate(n, q, budget, by_rank=False)
 
 
 def count_by_rank(
@@ -266,6 +248,7 @@ def count_by_rank(
     The rank is kept as a column echelon basis along the same search that
     count_square_zero runs: each column is reduced once, when it is
     complete, so a leaf costs one reduction of its last column.  Counting
-    alone does no rank work."""
-    ranks = _enumerate(n, q, budget, workers, by_rank=True)
+    alone does no rank work.  ``workers`` is ignored, as in
+    count_square_zero."""
+    ranks = _enumerate(n, q, budget, by_rank=True)
     return dict(sorted(ranks.items()))

@@ -182,8 +182,9 @@ class TestRecurrenceResidual:
                 assert recurrence_residual(n, r) == ZERO, (n, r)
 
     def test_rejects_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            recurrence_residual(2, 1)
+        for n, r in [(2, 1), (3, -1)]:
+            with pytest.raises(ValueError, match=r"^recurrence_residual needs r >= 0"):
+                recurrence_residual(n, r)
 
 
 class TestConstantTermTotal:

@@ -11,7 +11,6 @@ from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
     BudgetExceededError,
     StrictUpperMatrix,
-    _partition_counts,
     _solutions,
     count_by_rank,
     count_square_zero,
@@ -153,18 +152,6 @@ class TestAgainstOdometer:
         assert totals[2] == totals[3] == totals[1] == len(odometer_solutions(n, q))
         assert ranks[2] == ranks[3] == ranks[1]
 
-    def test_prefixes_split_the_solutions(self):
-        # The third fill position, (0, 2), is the first with an entry of X^2
-        # to check, so some of these prefixes are pruned outright.
-        field = FiniteField(3)
-        parts = [
-            {tuple(entries) for entries in _solutions(4, field, prefix)}
-            for prefix in itertools.product(range(3), repeat=3)
-        ]
-        assert not all(parts)
-        assert sum(map(len, parts)) == len(set().union(*parts))
-        assert set().union(*parts) == odometer_solutions(4, 3)
-
 
 class TestTrackedRank:
     """The rank carried down the search against a full elimination of each
@@ -175,10 +162,3 @@ class TestTrackedRank:
         field = FiniteField(q)
         for entries, rank in _solutions(n, field, ranked=True):
             assert rank == matrix_rank(StrictUpperMatrix(n, tuple(entries)), field), entries
-
-    @pytest.mark.parametrize("n,q", [(5, 3), (4, 4)], ids=lambda v: str(v))
-    def test_prefix_rank_counts_sum_to_the_whole(self, n, q):
-        # Both prefix positions, (0, 1) and (1, 2), feed the basis: the first
-        # completes column 1.  No worker pool is started.
-        parts = [_partition_counts(n, q, True, prefix) for prefix in itertools.product(range(q), repeat=2)]
-        assert sum(parts, Counter()) == count_by_rank(n, q)
