@@ -3,8 +3,11 @@ Exact Laurent polynomials and Gaussian binomials
 ================================================
 
 Everything in this library runs on exact integer arithmetic: polynomials
-in q are sparse maps from (possibly negative) exponents to Python ints,
-so results never drift and equality checks are structural.
+in q are stored as their valuation (possibly negative) and a tuple of
+Python int coefficients, so memory grows with degree - valuation + 1.
+Every polynomial the library forms spans O(n^2) or O(m^2) exponents, and
+``terms`` is a read-only exponent -> coefficient view.  Results never
+drift and equality checks are structural.
 """
 
 from sqzero import ONE, Q, InexactDivisionError, QLaurentPoly, qbinomial

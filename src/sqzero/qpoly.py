@@ -1,19 +1,21 @@
 """Exact Laurent polynomial arithmetic in the single variable q.
 
-A polynomial is stored sparsely as a map from integer exponents (negative
-allowed) to nonzero integer coefficients.  Python ints are arbitrary
-precision, so coefficients that grow combinatorially -- the counting
-polynomials here have Catalan-sized leading coefficients -- never overflow.
+A polynomial is stored as its valuation (lowest exponent, possibly negative)
+and the tuple of coefficients up to its degree, so memory grows with
+degree - valuation + 1; every polynomial the library forms spans O(n^2) or
+O(m^2) exponents.  ``terms`` is a read-only exponent -> coefficient view.
+Python ints are arbitrary precision, so Catalan-sized coefficients never
+overflow.
 
-Canonical form is maintained everywhere: zero coefficients are never
-stored and the zero polynomial is the empty map, so structural equality of
-the maps is polynomial equality.  Values are immutable and every operation
-returns a fresh value, which makes them safe to share across threads.
+The tuple is trimmed of zeros at both ends and zero is the empty tuple at
+valuation 0, so structural equality is polynomial equality.  Values are
+immutable, which makes them safe to share across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 from types import MappingProxyType
 from typing import Mapping
 
@@ -22,39 +24,59 @@ class InexactDivisionError(ArithmeticError):
     """Division left a remainder where an exact quotient was required."""
 
 
+def _poly(lo: int, coeffs) -> QLaurentPoly:
+    # sum coeffs[i] q^(lo+i), trimmed of zeros at both ends
+    i, j = 0, len(coeffs)
+    while j and not coeffs[j - 1]:
+        j -= 1
+    while i < j and not coeffs[i]:
+        i += 1
+    poly = QLaurentPoly.__new__(QLaurentPoly)
+    poly._lo, poly._c = (lo + i, tuple(coeffs[i:j])) if i < j else (0, ())
+    return poly
+
+
+def _combine(a: QLaurentPoly, b: QLaurentPoly, op) -> QLaurentPoly:
+    # a + b or a - b in one list aligned at the lower valuation
+    if not b._c:
+        return a
+    if not a._c:
+        return b if op is add else -b
+    lo = min(a._lo, b._lo)
+    out = [0] * (max(a._lo + len(a._c), b._lo + len(b._c)) - lo)
+    i, j = a._lo - lo, b._lo - lo
+    out[i : i + len(a._c)] = a._c
+    out[j : j + len(b._c)] = map(op, out[j : j + len(b._c)], b._c)
+    return _poly(lo, out)
+
+
 class QLaurentPoly:
     """Immutable Laurent polynomial in q with integer coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_lo", "_c")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        data: dict[int, int] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff:
-                    data[exp] = coeff
-        self._terms = data
-
-    @classmethod
-    def _from_clean(cls, data: dict[int, int]) -> QLaurentPoly:
-        # internal: `data` must already be free of zero coefficients
-        poly = cls.__new__(cls)
-        poly._terms = data
-        return poly
+        data = {e: c for e, c in terms.items() if c} if terms else {}
+        lo = min(data, default=0)
+        coeffs = [0] * (max(data, default=-1) - lo + 1)
+        for e, c in data.items():
+            coeffs[e - lo] = c
+        self._lo, self._c = lo, tuple(coeffs)
 
     @classmethod
     def constant(cls, c: int) -> QLaurentPoly:
-        return cls({0: c})
+        return _poly(0, (c,))
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> QLaurentPoly:
         """coeff * q**exp"""
-        return cls({exp: coeff})
+        return _poly(exp, (coeff,))
 
     @property
     def terms(self) -> Mapping[int, int]:
         """Read-only exponent -> coefficient view (never contains zeros)."""
-        return MappingProxyType(self._terms)
+        lo = self._lo
+        return MappingProxyType({lo + i: c for i, c in enumerate(self._c) if c})
 
     # -- ring operations ---------------------------------------------------
 
@@ -63,53 +85,49 @@ class QLaurentPoly:
         if isinstance(value, QLaurentPoly):
             return value
         if isinstance(value, int):
-            return QLaurentPoly({0: value})
+            return _poly(0, (value,))
         return None
 
     def __add__(self, other) -> QLaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in rhs._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return QLaurentPoly._from_clean(out)
+        return _combine(self, rhs, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> QLaurentPoly:
-        return QLaurentPoly._from_clean({e: -c for e, c in self._terms.items()})
+        return _poly(self._lo, tuple(map(neg, self._c)))
 
     def __sub__(self, other) -> QLaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return _combine(self, rhs, sub)
 
     def __rsub__(self, other) -> QLaurentPoly:
         lhs = self._coerce(other)
         if lhs is None:
             return NotImplemented
-        return lhs + (-self)
+        return _combine(lhs, self, sub)
 
     def __mul__(self, other) -> QLaurentPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, int):
+            return _poly(self._lo, tuple(map(other.__mul__, self._c)) if other else ())
+        if not isinstance(other, QLaurentPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in rhs._terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return QLaurentPoly._from_clean(out)
+        a, b = self._c, other._c
+        if not a or not b:
+            return ZERO
+        # a scaled copy of the denser operand per nonzero of the sparser
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        n = len(b)
+        out = [0] * (len(a) + n - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i : i + n] = map(add, out[i : i + n], map(x.__mul__, b))
+        return _poly(self._lo + other._lo, out)
 
     __rmul__ = __mul__
 
@@ -127,123 +145,106 @@ class QLaurentPoly:
 
     def shift(self, k: int) -> QLaurentPoly:
         """Multiply by q**k, i.e. shift every exponent by k."""
-        if k == 0 or not self._terms:
+        if k == 0 or not self._c:
             return self
-        return QLaurentPoly._from_clean({e + k: c for e, c in self._terms.items()})
+        return _poly(self._lo + k, self._c)
 
     def exact_div(self, divisor: QLaurentPoly) -> QLaurentPoly:
         """Exact quotient self / divisor.
 
-        Long division from the lowest exponent up.  Each step cancels the
-        lowest remaining term and subtracts only at higher exponents, so one
-        upward walk over the quotient's exponent range visits each exponent
-        once.  Raises InexactDivisionError when a coefficient is not a
-        multiple of the divisor's lowest coefficient, or when any remainder
-        is left after the walk; a remainder here always means a caller bug,
-        so it must never be truncated silently.
+        Long division in one upward walk over the quotient's exponents: each
+        step cancels the lowest remaining term and subtracts only above it.
+        Raises InexactDivisionError when a coefficient is not a multiple of
+        the divisor's lowest one, when a remainder is left, or when the
+        quotient range is empty; that always means a caller bug, so it is
+        never truncated silently.
         """
-        if not divisor._terms:
+        d = divisor._c
+        if not d:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self._terms:
+        if not self._c:
             return ZERO
-        div_lo = min(divisor._terms)
-        div_lead = divisor._terms[div_lo]
-        div_rest = [(e - div_lo, c) for e, c in divisor._terms.items() if e != div_lo]
-        # exponents of an exact quotient lie in
-        # [min(self)-min(divisor), max(self)-max(divisor)]
-        hi_bound = max(self._terms) - max(divisor._terms)
-        rem = dict(self._terms)
-        quot: dict[int, int] = {}
-        for lo in range(min(rem), hi_bound + div_lo + 1):
-            c = rem.pop(lo, 0)
-            if not c:
-                continue
-            coeff, residue = divmod(c, div_lead)
+        lead = d[0]
+        rest = [(k, c) for k, c in enumerate(d) if k and c]
+        rem = list(self._c)
+        # an exact quotient spans val(self)-val(divisor) .. deg(self)-deg(divisor)
+        n = len(rem) - len(d) + 1
+        quot = [0] * n
+        for i in range(n):
+            coeff, residue = divmod(rem[i], lead)
             if residue:
-                raise InexactDivisionError(f"inexact division: ({self}) / ({divisor})")
-            quot[lo - div_lo] = coeff
-            for offset, d in div_rest:
-                e = lo + offset
-                rem[e] = rem.get(e, 0) - coeff * d
-        if any(rem.values()):
-            raise InexactDivisionError(f"inexact division: ({self}) / ({divisor})")
-        return QLaurentPoly._from_clean(quot)
+                break
+            if coeff:
+                quot[i] = coeff
+                for k, dk in rest:
+                    rem[i + k] -= coeff * dk
+        else:
+            if quot and not any(rem[n:]):
+                return _poly(self._lo - divisor._lo, quot)
+        raise InexactDivisionError(f"inexact division: ({self}) / ({divisor})")
 
     def eval_at(self, x: int) -> int | Fraction:
         """Exact value at q = x: an int for polynomials, else a Fraction.
 
         x = 0 is rejected when negative exponents are present.
         """
-        whole = 0
-        frac = Fraction(0)
-        for e, c in self._terms.items():
-            if e >= 0:
-                whole += c * x**e
-            else:
-                if x == 0:
-                    raise ZeroDivisionError("evaluation at zero with negative exponents")
-                frac += Fraction(c, x ** (-e))
-        if not frac:
-            return whole
-        total = frac + whole
+        value = 0
+        for c in reversed(self._c):
+            value = value * x + c
+        if self._lo >= 0:
+            return value * x**self._lo
+        if x == 0:
+            raise ZeroDivisionError("evaluation at zero with negative exponents")
+        total = Fraction(value, x**-self._lo)
         return int(total) if total.denominator == 1 else total
 
     # -- structure ----------------------------------------------------------
 
     def is_polynomial(self) -> bool:
         """True iff no exponent is negative."""
-        return all(e >= 0 for e in self._terms)
+        return self._lo >= 0
 
     def degree(self) -> int | None:
         """Highest exponent, or None for the zero polynomial."""
-        return max(self._terms) if self._terms else None
+        return self._lo + len(self._c) - 1 if self._c else None
 
     def valuation(self) -> int | None:
         """Lowest exponent, or None for the zero polynomial."""
-        return min(self._terms) if self._terms else None
+        return self._lo if self._c else None
 
     def leading_coefficient(self) -> int:
-        return self._terms[max(self._terms)] if self._terms else 0
+        return self._c[-1] if self._c else 0
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._c)
 
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._terms == rhs._terms
+        return self._lo == rhs._lo and self._c == rhs._c
 
     def __hash__(self) -> int:
         # constants hash like the ints they equal
-        if not self._terms:
-            return hash(0)
-        if len(self._terms) == 1 and 0 in self._terms:
-            return hash(self._terms[0])
-        return hash(frozenset(self._terms.items()))
+        if self._lo == 0 and len(self._c) < 2:
+            return hash(self._c[0] if self._c else 0)
+        return hash((self._lo, self._c))
 
     def __str__(self) -> str:
         """Canonical text: ascending exponents, e.g. ``-q + 2*q^2``."""
-        if not self._terms:
-            return "0"
         parts: list[str] = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
+        for e, c in self.terms.items():
             mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif e == 1:
-                body = "q" if mag == 1 else f"{mag}*q"
-            else:
-                body = f"q^{e}" if mag == 1 else f"{mag}*q^{e}"
+            var = "q" if e == 1 else f"q^{e}"
+            body = str(mag) if e == 0 else var if mag == 1 else f"{mag}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
-        return f"QLaurentPoly({dict(sorted(self._terms.items()))!r})"
+        return f"QLaurentPoly({dict(self.terms)!r})"
 
 
 ZERO = QLaurentPoly()

@@ -165,6 +165,13 @@ class TestVerify:
         assert out.splitlines()[-1].startswith("verify: PASS")
         assert calls == [40]
 
+    def test_reaches_n_60(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n-max", "60")
+        assert code == 0
+        assert out.splitlines() == [f"n={n}: OK" for n in range(1, 61)] + [
+            "verify: PASS (all engines agree for 1 <= n <= 60)"
+        ]
+
 
 class TestOracle:
     def test_match_report(self, capsys):

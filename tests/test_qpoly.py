@@ -275,3 +275,139 @@ class TestExactDivAgainstRescan:
                 a.exact_div(b)
         else:
             assert a.exact_div(b) == expected
+
+
+# Reference: the sparse kernel the dense one replaced, over plain dicts from
+# exponent to nonzero coefficient.
+
+
+def clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def sparse_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        elif e in out:
+            del out[e]
+    return out
+
+
+def sparse_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def sparse_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = sparse_add(out, {e1 + e2: c1 * c2})
+    return out
+
+
+def sparse_shift(a, k):
+    return {e + k: c for e, c in a.items()}
+
+
+def sparse_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a):
+        c = a[e]
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        elif e == 1:
+            body = "q" if mag == 1 else f"{mag}*q"
+        else:
+            body = f"q^{e}" if mag == 1 else f"{mag}*q^{e}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def per_term_eval(a, x):
+    whole = 0
+    frac = Fraction(0)
+    for e, c in a.items():
+        if e >= 0:
+            whole += c * x**e
+        else:
+            if x == 0:
+                raise ZeroDivisionError("evaluation at zero with negative exponents")
+            frac += Fraction(c, x ** (-e))
+    if not frac:
+        return whole
+    total = frac + whole
+    return int(total) if total.denominator == 1 else total
+
+
+# dicts with zero coefficients allowed, dense ([-10, 10]) and sparse ([-200, 200])
+small_dicts = st.dictionaries(st.integers(-10, 10), st.integers(-100, 100), max_size=8)
+wide_dicts = st.dictionaries(st.integers(-200, 200), st.integers(-100, 100), max_size=6)
+dicts = st.one_of(small_dicts, wide_dicts)
+
+
+def assert_matches(poly, ref):
+    """poly, a QLaurentPoly, has the sparse reference's value and canonical form."""
+    assert dict(poly.terms) == ref
+    assert poly == QLaurentPoly(ref) == QLaurentPoly(poly.terms)
+    assert hash(poly) == hash(QLaurentPoly(ref))
+    assert poly.degree() == (max(ref) if ref else None)
+    assert poly.valuation() == (min(ref) if ref else None)
+    assert poly.leading_coefficient() == (ref[max(ref)] if ref else 0)
+    assert poly.is_polynomial() == all(e >= 0 for e in ref)
+    assert bool(poly) == bool(ref)
+    assert str(poly) == sparse_str(ref)
+    if set(ref) <= {0}:
+        assert poly == ref.get(0, 0)
+        assert hash(poly) == hash(ref.get(0, 0))
+
+
+class TestDenseAgainstSparse:
+    @given(dicts, st.integers(-100, 100), st.integers(-300, 300), st.integers(-5, 5))
+    def test_unary_int_operands_and_eval(self, a, k, shift, x):
+        assert_matches(P(a), clean(a))
+        a = clean(a)
+        const = clean({0: k})
+        with pytest.raises(TypeError):
+            P(a).terms[0] = 1
+        assert_matches(-P(a), sparse_neg(a))
+        assert_matches(P(a).shift(shift), sparse_shift(a, shift))
+        assert_matches(k * P(a), sparse_mul(a, const))
+        assert_matches(P(a) * k, sparse_mul(a, const))
+        assert_matches(P(a) + k, sparse_add(a, const))
+        assert_matches(k + P(a), sparse_add(a, const))
+        assert_matches(P(a) - k, sparse_add(a, sparse_neg(const)))
+        assert_matches(k - P(a), sparse_add(const, sparse_neg(a)))
+        # eval_at (Horner over the coefficients) against the per-term formula
+        try:
+            expected = per_term_eval(a, x)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                P(a).eval_at(x)
+        else:
+            value = P(a).eval_at(x)
+            assert value == expected
+            assert type(value) is type(expected)
+
+    @given(dicts, dicts, st.integers(0, 4), st.integers(0, 4))
+    def test_binary_and_sums_cancelling_at_the_ends(self, a, b, low, high):
+        a, b = clean(a), clean(b)
+        assert (P(a) == P(b)) == (a == b)
+        assert_matches(P(a) + P(b), sparse_add(a, b))
+        assert_matches(P(a) - P(b), sparse_add(a, sparse_neg(b)))
+        assert_matches(P(a) * P(b), sparse_mul(a, b))
+        # c cancels the `low` lowest and `high` highest terms of a
+        exps = sorted(a)
+        c = {e: -a[e] for e in exps[:low] + exps[len(exps) - high :]}
+        total = P(a) + P(c)
+        assert_matches(total, sparse_add(a, c))
+        assert total == QLaurentPoly(total.terms)
+        assert_matches(P(a) - P(a), {})
