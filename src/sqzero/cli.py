@@ -37,11 +37,6 @@ def _record(n: int, method: str, q: int | None, polynomial: QLaurentPoly | None,
     return obj
 
 
-def polynomial_from_json_terms(terms: dict) -> QLaurentPoly:
-    """Rebuild a polynomial from the JSON term map (string keys/values)."""
-    return QLaurentPoly({int(e): int(c) for e, c in terms.items()})
-
-
 def _print_csv(header: list[str], rows) -> None:
     """Print one CSV document; csv writes None as an empty field and str()s the rest."""
     buf = io.StringIO()

@@ -23,7 +23,7 @@ disagreement surfaces as structural polynomial inequality, never as drift.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .qbinom import binomial, qbinomial
 from .qpoly import ONE, ZERO, QLaurentPoly
@@ -140,9 +140,6 @@ class TriangularTable:
     def total(self, n: int) -> QLaurentPoly:
         """Row sum over all stored r."""
         return sum(self.row(n), ZERO)
-
-    def items(self) -> Iterator[tuple[tuple[int, int], QLaurentPoly]]:
-        return iter(sorted(self._entries.items()))
 
 
 def recurrence_table(n_max: int) -> TriangularTable:

@@ -15,6 +15,7 @@ immutable, which makes them safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, neg, sub
 from types import MappingProxyType
 from typing import Mapping
@@ -125,7 +126,11 @@ class QLaurentPoly:
         n = len(b)
         out = [0] * (len(a) + n - 1)
         for i, x in enumerate(a):
-            if x:
+            if x == 1:
+                out[i : i + n] = map(add, out[i : i + n], b)
+            elif x == -1:
+                out[i : i + n] = map(sub, out[i : i + n], b)
+            elif x:
                 out[i : i + n] = map(add, out[i : i + n], map(x.__mul__, b))
         return _poly(self._lo + other._lo, out)
 
@@ -154,6 +159,9 @@ class QLaurentPoly:
 
         Long division in one upward walk over the quotient's exponents: each
         step cancels the lowest remaining term and subtracts only above it.
+        A divisor q^v (1 - q^j) takes a whole-slice path instead: the quotient
+        is the prefix sum of the dividend's coefficients along each residue
+        class mod j, and the division is exact iff the top j sums are zero.
         Raises InexactDivisionError when a coefficient is not a multiple of
         the divisor's lowest one, when a remainder is left, or when the
         quotient range is empty; that always means a caller bug, so it is
@@ -164,11 +172,18 @@ class QLaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self._c:
             return ZERO
-        lead = d[0]
-        rest = [(k, c) for k, c in enumerate(d) if k and c]
         rem = list(self._c)
         # an exact quotient spans val(self)-val(divisor) .. deg(self)-deg(divisor)
         n = len(rem) - len(d) + 1
+        j = len(d) - 1
+        if n > 0 and j and d[0] == 1 and d[-1] == -1 and not any(d[1:-1]):
+            for r in range(j):
+                rem[r::j] = accumulate(rem[r::j])
+            if not any(rem[n:]):
+                return _poly(self._lo - divisor._lo, rem[:n])
+            raise InexactDivisionError(f"inexact division: ({self}) / ({divisor})")
+        lead = d[0]
+        rest = [(k, c) for k, c in enumerate(d) if k and c]
         quot = [0] * n
         for i in range(n):
             coeff, residue = divmod(rem[i], lead)

@@ -13,9 +13,14 @@ from pathlib import Path
 import pytest
 
 from sqzero import cli, counting, oracle
-from sqzero.cli import main, polynomial_from_json_terms
+from sqzero.cli import main
 from sqzero.counting import NonPolynomialResultError
 from sqzero.qpoly import InexactDivisionError, QLaurentPoly
+
+
+def polynomial_from_json_terms(terms):
+    """Rebuild a polynomial from a JSON record's term map (string keys and values)."""
+    return QLaurentPoly({int(e): int(c) for e, c in terms.items()})
 
 
 def run(capsys, *argv):

@@ -1,5 +1,6 @@
 """Gaussian binomials against their defining quotient and classical laws."""
 
+import functools
 import sys
 import threading
 
@@ -8,18 +9,24 @@ import pytest
 from sqzero import qbinom
 from sqzero.qbinom import binomial, qbinomial
 from sqzero.qpoly import ONE, ZERO, QLaurentPoly
+from test_qpoly import rescanning_exact_div
+
+
+@functools.cache
+def literal_row(m):
+    """Reference: the Gaussian binomials [m, 0..m] from their defining product
+    quotient, one factor pair at a time, divided with the rescanning long
+    division of test_qpoly rather than the QLaurentPoly.exact_div under test.
+    Cached, so each row is built once and shared by the tests below."""
+    row = [ONE]
+    for t in range(1, m + 1):
+        numer = QLaurentPoly({0: 1, m - t + 1: -1})
+        row.append(rescanning_exact_div(row[-1] * numer, QLaurentPoly({0: 1, t: -1})))
+    return row
 
 
 def literal_qbinomial(m, n):
-    """Reference: the defining product quotient, divided out factor by factor
-    from scratch for every (m, n), with no partial quotient kept."""
-    if not 0 <= n <= m:
-        return ZERO
-    result = ONE
-    for t in range(1, n + 1):
-        numer = QLaurentPoly({0: 1, m - t + 1: -1})
-        result = (result * numer).exact_div(QLaurentPoly({0: 1, t: -1}))
-    return result
+    return literal_row(m)[n] if 0 <= n <= m else ZERO
 
 
 class TestBinomial:

@@ -268,13 +268,60 @@ class TestExactDivAgainstRescan:
 
     @given(polys, nonzero_polys())
     def test_arbitrary_pairs_agree(self, a, b):
-        try:
-            expected = rescanning_exact_div(a, b)
-        except InexactDivisionError:
+        assert_divides_like_rescan(a, b)
+
+
+def assert_divides_like_rescan(a, b):
+    """a.exact_div(b) returns what the rescanning reference returns, or
+    raises InexactDivisionError exactly when the reference does."""
+    try:
+        expected = rescanning_exact_div(a, b)
+    except InexactDivisionError:
+        with pytest.raises(InexactDivisionError):
+            a.exact_div(b)
+    else:
+        assert a.exact_div(b) == expected
+
+
+# q^v (1 - q^j), the divisor exact_div divides by in whole-slice prefix sums
+strided_divisors = st.builds(
+    lambda j, v: QLaurentPoly({v: 1, v + j: -1}), st.integers(1, 40), st.integers(-10, 10)
+)
+# quotients long enough to fill several residue classes mod j
+wide_polys = st.builds(
+    QLaurentPoly,
+    st.dictionaries(st.integers(-10, 80), st.integers(-100, 100), max_size=12),
+)
+
+
+class TestStridedDivAgainstRescan:
+    @given(wide_polys, strided_divisors)
+    def test_exact_multiples(self, a, b):
+        assert (a * b).exact_div(b) == rescanning_exact_div(a * b, b) == a
+
+    @given(wide_polys, strided_divisors, st.integers(-100, 100).filter(bool),
+           st.integers(-10, 130))
+    def test_multiples_plus_a_stray_monomial_raise(self, c, b, coeff, exp):
+        # 1 - q^j divides no nonzero monomial, so no such sum is a multiple
+        a = c * b + QLaurentPoly.monomial(coeff, exp)
+        for divide in (QLaurentPoly.exact_div, rescanning_exact_div):
             with pytest.raises(InexactDivisionError):
-                a.exact_div(b)
-        else:
-            assert a.exact_div(b) == expected
+                divide(a, b)
+
+    @given(strided_divisors, st.data())
+    def test_dividends_no_longer_than_the_divisor(self, b, data):
+        # exponents within a window of the divisor's own span, so that
+        # deg(a) - val(a) <= deg(b) - val(b); a constant times a shifted b
+        # is the one exact case
+        span = b.degree() - b.valuation()
+        k = data.draw(st.integers(-10, 10))
+        lo = b.valuation() + k
+        coeffs = st.integers(-100, 100)
+        a = data.draw(st.one_of(
+            st.builds(QLaurentPoly, st.dictionaries(st.integers(lo, lo + span), coeffs, max_size=6)),
+            st.builds(lambda c: c * b.shift(k), coeffs),
+        ))
+        assert_divides_like_rescan(a, b)
 
 
 # Reference: the sparse kernel the dense one replaced, over plain dicts from
@@ -411,3 +458,14 @@ class TestDenseAgainstSparse:
         assert_matches(total, sparse_add(a, c))
         assert total == QLaurentPoly(total.terms)
         assert_matches(P(a) - P(a), {})
+
+    @given(st.dictionaries(st.integers(-10, 10), st.sampled_from([-1, 1]), max_size=8),
+           st.dictionaries(st.integers(-10, 10), st.sampled_from([-1, 1]), max_size=8),
+           dicts)
+    def test_products_with_unit_coefficients(self, a, b, c):
+        # a and b have only coefficients 1 and -1, so whichever operand is
+        # sparser, the unit-coefficient multiply folds in the other one
+        c = clean(c)
+        assert_matches(P(a) * P(b), sparse_mul(a, b))
+        assert_matches(P(a) * P(c), sparse_mul(a, c))
+        assert_matches(P(c) * P(a), sparse_mul(c, a))

@@ -79,18 +79,38 @@ def test_exact_div_of_products(seed):
         assert as_poly(quot) == sympy_exact_quotient(a * b, b), (a, b)
 
 
+def divides_like_sympy(a, b):
+    """Check a.exact_div(b) against sympy; True when the division is inexact."""
+    expected = sympy_exact_quotient(a, b)
+    if expected is None:
+        with pytest.raises(InexactDivisionError):
+            a.exact_div(b)
+    else:
+        assert as_poly(a.exact_div(b)) == expected, (a, b)
+    return expected is None
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exact_div_of_arbitrary_pairs(seed):
     # Most random pairs are inexact; both outcomes must occur.
+    assert {divides_like_sympy(a, b) for a, b in pairs(seed)} == {True, False}
+
+
+def strided_divisor(rng):
+    """q^v (1 - q^j), the divisor exact_div divides by in whole-slice prefix sums."""
+    v = rng.randint(LOW, HIGH)
+    return QLaurentPoly({v: 1, v + rng.randint(1, 12): -1})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_div_by_one_minus_q_power(seed):
+    # a multiple of each divisor and a random dividend, which is mostly not one
+    rng = random.Random(seed)
     outcomes = set()
-    for a, b in pairs(seed):
-        expected = sympy_exact_quotient(a, b)
-        outcomes.add(expected is None)
-        if expected is None:
-            with pytest.raises(InexactDivisionError):
-                a.exact_div(b)
-        else:
-            assert as_poly(a.exact_div(b)) == expected, (a, b)
+    for _ in range(CASES):
+        b = strided_divisor(rng)
+        for a in (random_poly(rng) * b, random_poly(rng)):
+            outcomes.add(divides_like_sympy(a, b))
     assert outcomes == {True, False}
 
 
