@@ -18,11 +18,8 @@ from .gf import SUPPORTED_ORDERS, FiniteField
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    StrictUpperMatrix,
     count_by_rank,
     count_square_zero,
-    matrix_rank,
-    square_is_zero,
 )
 from .qbinom import binomial, qbinomial
 from .qpoly import ONE, Q, ZERO, InexactDivisionError, QLaurentPoly
@@ -47,11 +44,8 @@ __all__ = [
     "alternating_qbinomial_sum_closed",
     "FiniteField",
     "SUPPORTED_ORDERS",
-    "StrictUpperMatrix",
     "BudgetExceededError",
     "DEFAULT_BUDGET",
-    "square_is_zero",
     "count_square_zero",
     "count_by_rank",
-    "matrix_rank",
 ]

@@ -23,10 +23,11 @@ disagreement surfaces as structural polynomial inequality, never as drift.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from .qbinom import binomial, qbinomial
-from .qpoly import ONE, ZERO, QLaurentPoly
+from .qpoly import ONE, ZERO, QLaurentPoly, linear_combination
 
 
 class NonPolynomialResultError(ArithmeticError):
@@ -139,7 +140,7 @@ class TriangularTable:
 
     def total(self, n: int) -> QLaurentPoly:
         """Row sum over all stored r."""
-        return sum(self.row(n), ZERO)
+        return linear_combination((1, 0, p) for p in self.row(n))
 
 
 def recurrence_table(n_max: int) -> TriangularTable:
@@ -163,8 +164,8 @@ def recurrence_table(n_max: int) -> TriangularTable:
 
 def _recurrence_step(n: int, r: int, t_same: QLaurentPoly, t_lower: QLaurentPoly) -> QLaurentPoly:
     """The recurrence's right side q^(r+1) t(n, r+1) + (q^(n-r) - q^r) t(n, r),
-    given t(n, r+1) and t(n, r), as shifts alone."""
-    return t_same.shift(r + 1) + t_lower.shift(n - r) - t_lower.shift(r)
+    given t(n, r+1) and t(n, r), as one sum of shifted terms."""
+    return linear_combination(((1, r + 1, t_same), (1, n - r, t_lower), (-1, r, t_lower)))
 
 
 def closed_form(n: int) -> QLaurentPoly:
@@ -209,12 +210,14 @@ def constant_term_entry(n: int, r: int) -> QLaurentPoly:
     """
     if not 0 <= 2 * r <= n:
         raise ValueError(f"need 0 <= 2r <= n, got n={n}, r={r}")
-    result = ZERO
-    for i in range(r + 1):
-        term = qbinomial(i + n - 2 * r, i).shift(-((i + 1) * i) // 2 - i * (n - 2 * r))
-        e = _envelope(n, r - i)
-        result = result + (-e if i % 2 else e) * term
-    result = result.shift(r * (n - r))
+    result = linear_combination(
+        (
+            (-1) ** i * _envelope(n, r - i),
+            r * (n - r) - ((i + 1) * i) // 2 - i * (n - 2 * r),
+            qbinomial(i + n - 2 * r, i),
+        )
+        for i in range(r + 1)
+    )
     if not result.is_polynomial():
         raise NonPolynomialResultError(f"non-polynomial CT result for entry ({n}, {r}): {result}")
     return result
@@ -234,16 +237,16 @@ def recurrence_residual(n: int, r: int) -> QLaurentPoly:
     return constant_term_entry(n + 1, r + 1) - _recurrence_step(n, r, same, constant_term_entry(n, r))
 
 
+@lru_cache(maxsize=None)
 def alternating_qbinomial_sum(m: int) -> QLaurentPoly:
     """sum_{i=0}^{floor(m/2)} (-1)^i q^(i(i-1)/2) qbinomial(m-i, i), expanded
-    term by term."""
+    term by term once per m and then remembered: by the identity each value
+    is a monomial or zero, so the memo stays small."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    total = ZERO
-    for i in range(m // 2 + 1):
-        term = qbinomial(m - i, i).shift(i * (i - 1) // 2)
-        total = total - term if i % 2 else total + term
-    return total
+    return linear_combination(
+        (-1 if i % 2 else 1, i * (i - 1) // 2, qbinomial(m - i, i)) for i in range(m // 2 + 1)
+    )
 
 
 def alternating_qbinomial_sum_closed(m: int) -> QLaurentPoly:
@@ -278,9 +281,10 @@ def constant_term_total(n: int) -> QLaurentPoly:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    result = ZERO
-    for l in range(n // 2 + 1):
-        result = result + _envelope(n, l) * alternating_qbinomial_sum(n - 2 * l).shift(l * n - l * l)
+    result = linear_combination(
+        (_envelope(n, l), l * n - l * l, alternating_qbinomial_sum(n - 2 * l))
+        for l in range(n // 2 + 1)
+    )
     if not result.is_polynomial():
         raise NonPolynomialResultError(f"non-polynomial CT result for total ({n}): {result}")
     return result
@@ -301,4 +305,4 @@ ENGINES: dict[str, Callable[[int], QLaurentPoly | list[QLaurentPoly]]] = {
 def engine_total(name: str, n: int) -> QLaurentPoly:
     """The row total of engine ``name`` at n: its result, or the sum of its entries."""
     out = ENGINES[name](n)
-    return out if isinstance(out, QLaurentPoly) else sum(out, ZERO)
+    return out if isinstance(out, QLaurentPoly) else linear_combination((1, 0, p) for p in out)

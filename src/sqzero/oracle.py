@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import NamedTuple
 
 from .gf import FiniteField
 
@@ -37,27 +36,6 @@ class BudgetExceededError(Exception):
         )
         self.required = required
         self.budget = budget
-
-
-class StrictUpperMatrix(NamedTuple):
-    """n x n matrix with zeros on and below the diagonal.
-
-    ``entries`` holds the n(n-1)/2 above-diagonal values in row-major
-    order over positions (i, j) with i < j.
-    """
-
-    n: int
-    entries: tuple[int, ...]
-
-    def rows(self) -> list[list[int]]:
-        """Materialize the full n x n matrix."""
-        out = [[0] * self.n for _ in range(self.n)]
-        pos = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                out[i][j] = self.entries[pos]
-                pos += 1
-        return out
 
 
 def flat_index(n: int, i: int, j: int) -> int:
@@ -98,48 +76,6 @@ def _square_entry(entries, field: FiniteField, pairs) -> int:
             if y:
                 acc = field.add(acc, field.mul(x, y))
     return acc
-
-
-def square_is_zero(mat: StrictUpperMatrix, field: FiniteField) -> bool:
-    """True iff every entry of mat squared vanishes over the field.
-
-    Only (i, j) with j >= i+2 is checked: for strictly upper-triangular X the
-    diagonal and first superdiagonal of X^2 are identically zero.
-    """
-    n = mat.n
-    if len(mat.entries) != n * (n - 1) // 2:
-        raise ValueError(f"expected {n * (n - 1) // 2} entries for n={n}, got {len(mat.entries)}")
-    return not any(_square_entry(mat.entries, field, pairs) for _, pairs, _ in _fill_order(n))
-
-
-def _rank_of_rows(rows: list[list[int]], field: FiniteField) -> int:
-    """Rank by Gaussian elimination over the field (eliminate below pivots)."""
-    m = len(rows)
-    if m == 0:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    for col in range(width):
-        pivot = next((i for i in range(rank, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        if inv != 1:
-            rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        top = rows[rank]
-        for i in range(rank + 1, m):
-            f = rows[i][col]
-            if f:
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], top)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def matrix_rank(mat: StrictUpperMatrix, field: FiniteField) -> int:
-    return _rank_of_rows(mat.rows(), field)
 
 
 def _reduce(column: list[int], basis, field: FiniteField) -> list[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import lru_cache
 
 from .qpoly import ONE, ZERO, QLaurentPoly
 
@@ -21,6 +22,7 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+@lru_cache(maxsize=None)
 def _one_minus_q_pow(j: int) -> QLaurentPoly:
     return QLaurentPoly({0: 1, j: -1})
 

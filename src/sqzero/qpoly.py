@@ -10,6 +10,10 @@ overflow.
 The tuple is trimmed of zeros at both ends and zero is the empty tuple at
 valuation 0, so structural equality is polynomial equality.  Values are
 immutable, which makes them safe to share across threads.
+
+Every sum is formed by ``linear_combination``: sum c * q^s * p over triples
+(c, s, p) in one list, trimmed once.  ``+``, ``-`` and the product (a sum of
+shifted, scaled copies of one operand) are calls of it.
 """
 
 from __future__ import annotations
@@ -37,17 +41,30 @@ def _poly(lo: int, coeffs) -> QLaurentPoly:
     return poly
 
 
-def _combine(a: QLaurentPoly, b: QLaurentPoly, op) -> QLaurentPoly:
-    # a + b or a - b in one list aligned at the lower valuation
-    if not b._c:
-        return a
-    if not a._c:
-        return b if op is add else -b
-    lo = min(a._lo, b._lo)
-    out = [0] * (max(a._lo + len(a._c), b._lo + len(b._c)) - lo)
-    i, j = a._lo - lo, b._lo - lo
-    out[i : i + len(a._c)] = a._c
-    out[j : j + len(b._c)] = map(op, out[j : j + len(b._c)], b._c)
+def linear_combination(terms) -> QLaurentPoly:
+    """sum c * q^s * p over the triples (c, s, p) of ``terms``.
+
+    One list spans the extreme exponents of the terms; each term is added in
+    one slice update, a coefficient of 1 or -1 without scaling, and the sum
+    is trimmed once.  Zero coefficients and zero polynomials are skipped.
+    """
+    spans = [(c, s + p._lo, p._c) for c, s, p in terms if c and p._c]
+    if not spans:
+        return ZERO
+    lo = min([s for _, s, _ in spans])
+    out = [0] * (max([s + len(p) for _, s, p in spans]) - lo)
+    (c, s, p), *rest = spans
+    # the first term lands on zeros, so it is written rather than added
+    out[s - lo : s - lo + len(p)] = p if c == 1 else map(c.__mul__, p)
+    for c, s, p in rest:
+        i = s - lo
+        j = i + len(p)
+        if c == 1:
+            out[i:j] = map(add, out[i:j], p)
+        elif c == -1:
+            out[i:j] = map(sub, out[i:j], p)
+        else:
+            out[i:j] = map(add, out[i:j], map(c.__mul__, p))
     return _poly(lo, out)
 
 
@@ -93,7 +110,7 @@ class QLaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return _combine(self, rhs, add)
+        return linear_combination(((1, 0, self), (1, 0, rhs)))
 
     __radd__ = __add__
 
@@ -104,35 +121,24 @@ class QLaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return _combine(self, rhs, sub)
+        return linear_combination(((1, 0, self), (-1, 0, rhs)))
 
     def __rsub__(self, other) -> QLaurentPoly:
         lhs = self._coerce(other)
         if lhs is None:
             return NotImplemented
-        return _combine(lhs, self, sub)
+        return linear_combination(((1, 0, lhs), (-1, 0, self)))
 
     def __mul__(self, other) -> QLaurentPoly:
         if isinstance(other, int):
-            return _poly(self._lo, tuple(map(other.__mul__, self._c)) if other else ())
+            return linear_combination(((other, 0, self),))
         if not isinstance(other, QLaurentPoly):
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return ZERO
-        # a scaled copy of the denser operand per nonzero of the sparser
-        if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = self, other
+        # a shifted, scaled copy of the denser operand per nonzero of the sparser
+        if len(a._c) - a._c.count(0) > len(b._c) - b._c.count(0):
             a, b = b, a
-        n = len(b)
-        out = [0] * (len(a) + n - 1)
-        for i, x in enumerate(a):
-            if x == 1:
-                out[i : i + n] = map(add, out[i : i + n], b)
-            elif x == -1:
-                out[i : i + n] = map(sub, out[i : i + n], b)
-            elif x:
-                out[i : i + n] = map(add, out[i : i + n], map(x.__mul__, b))
-        return _poly(self._lo + other._lo, out)
+        return linear_combination((x, a._lo + i, b) for i, x in enumerate(a._c))
 
     __rmul__ = __mul__
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sqzero import counting
 from sqzero.counting import (
     ENGINES,
     TriangularTable,
@@ -271,8 +272,8 @@ class TestEnginesPastTwenty:
         for n in range(21, 41):
             assert constant_term_total(n) == table40.total(n), n
 
-    def test_residuals_vanish_from_16_to_30(self):
-        for n in range(16, 31):
+    def test_residuals_vanish_from_16_to_40(self):
+        for n in range(16, 41):
             for r in range((n + 1) // 2):
                 assert recurrence_residual(n, r) == ZERO, (n, r)
 
@@ -301,3 +302,77 @@ def test_total_expands_the_inner_sum_without_its_closed_form(monkeypatch):
 
     monkeypatch.setattr("sqzero.counting.alternating_qbinomial_sum_closed", refuse)
     assert constant_term_total(12) == recurrence_table(12).total(12)
+    # the inner sum is remembered per m, but a fresh m is still expanded
+    # term by term, and only once
+    asked = []
+    real = counting.qbinomial
+    monkeypatch.setattr(counting, "qbinomial", lambda m, i: asked.append((m, i)) or real(m, i))
+    alternating_qbinomial_sum.cache_clear()
+    assert alternating_qbinomial_sum(25) == loop_alternating_sum(25)
+    assert alternating_qbinomial_sum(25) == loop_alternating_sum(25)
+    assert asked == [(25 - i, i) for i in range(13)]
+
+
+# The engine loops as they were before sums were formed in one list, written
+# with +, int * and .shift, as references for the one-list sums.
+
+
+def loop_entry(n, r):
+    result = ZERO
+    for i in range(r + 1):
+        term = qbinomial(i + n - 2 * r, i).shift(-((i + 1) * i) // 2 - i * (n - 2 * r))
+        e = binomial(n, r - i) - binomial(n, r - i - 1)
+        result = result + (-e if i % 2 else e) * term
+    return result.shift(r * (n - r))
+
+
+def loop_alternating_sum(m):
+    total = ZERO
+    for i in range(m // 2 + 1):
+        term = qbinomial(m - i, i).shift(i * (i - 1) // 2)
+        total = total - term if i % 2 else total + term
+    return total
+
+
+def loop_total(n):
+    result = ZERO
+    for l in range(n // 2 + 1):
+        e = binomial(n, l) - binomial(n, l - 1)
+        result = result + e * loop_alternating_sum(n - 2 * l).shift(l * n - l * l)
+    return result
+
+
+def loop_table(n_max):
+    entries = {(0, 0): ONE}
+    for n in range(n_max):
+        entries[(n + 1, 0)] = ONE
+        for r in range((n + 1) // 2):
+            same, lower = entries.get((n, r + 1), ZERO), entries.get((n, r), ZERO)
+            entries[(n + 1, r + 1)] = same.shift(r + 1) + lower.shift(n - r) - lower.shift(r)
+    return entries
+
+
+class TestAgainstTermByTermLoops:
+    def test_entries_up_to_30(self):
+        for n in range(31):
+            for r in range(n // 2 + 1):
+                assert constant_term_entry(n, r) == loop_entry(n, r), (n, r)
+
+    def test_totals_up_to_30(self):
+        for n in range(1, 31):
+            assert constant_term_total(n) == loop_total(n), n
+
+    def test_alternating_sums_up_to_80(self):
+        for m in range(81):
+            assert alternating_qbinomial_sum(m) == loop_alternating_sum(m), m
+
+    def test_table_up_to_30(self):
+        table, entries = recurrence_table(30), loop_table(30)
+        for n in range(31):
+            assert table.row(n) == [entries[n, r] for r in range(n // 2 + 1)], n
+            total = ZERO
+            for poly in table.row(n):
+                total = total + poly
+            assert table.total(n) == total, n
+            if n:
+                assert engine_total("recurrence", n) == engine_total("anna", n) == total, n

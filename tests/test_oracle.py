@@ -1,8 +1,15 @@
-"""The enumeration oracle: frozen counts, budget guard, determinism."""
+"""The enumeration oracle: frozen counts, budget guard, determinism.
+
+The oracle's references live here, not in the package: a matrix type,
+X^2 = 0 from field add and mul in row-major order, and the rank by
+Gaussian elimination.  None of them uses the search's fill order or its
+incremental checks, so they stay independent of the code they check.
+"""
 
 import itertools
 from collections import Counter
 from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 
@@ -10,14 +17,88 @@ from sqzero.counting import closed_form
 from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
     BudgetExceededError,
-    StrictUpperMatrix,
     _solutions,
     count_by_rank,
     count_square_zero,
     flat_index,
-    matrix_rank,
-    square_is_zero,
 )
+
+
+class StrictUpperMatrix(NamedTuple):
+    """n x n matrix with zeros on and below the diagonal.
+
+    ``entries`` holds the n(n-1)/2 above-diagonal values in row-major
+    order over positions (i, j) with i < j.
+    """
+
+    n: int
+    entries: tuple[int, ...]
+
+    def rows(self) -> list[list[int]]:
+        """Materialize the full n x n matrix."""
+        values = iter(self.entries)
+        return [[next(values) if j > i else 0 for j in range(self.n)] for i in range(self.n)]
+
+
+@lru_cache(maxsize=None)
+def square_entry_pairs(n: int) -> tuple:
+    """Per entry (i, j) of X^2 with j >= i+2, the entry-vector index pairs
+    of X[i][t] and X[t][j], from positions enumerated in row-major order."""
+    index = {ij: k for k, ij in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+    return tuple(
+        tuple((index[i, t], index[t, j]) for t in range(i + 1, j))
+        for i in range(n)
+        for j in range(i + 2, n)
+    )
+
+
+def square_is_zero(mat: StrictUpperMatrix, field: FiniteField) -> bool:
+    """True iff every entry of mat squared vanishes over the field.
+
+    Only (i, j) with j >= i+2 is checked: for strictly upper-triangular X the
+    diagonal and first superdiagonal of X^2 are identically zero.
+    """
+    n, x = mat
+    if len(x) != n * (n - 1) // 2:
+        raise ValueError(f"expected {n * (n - 1) // 2} entries for n={n}, got {len(x)}")
+    for pairs in square_entry_pairs(n):
+        acc = 0
+        for u, v in pairs:
+            if x[u] and x[v]:
+                acc = field.add(acc, field.mul(x[u], x[v]))
+        if acc:
+            return False
+    return True
+
+
+def _rank_of_rows(rows: list[list[int]], field: FiniteField) -> int:
+    """Rank by Gaussian elimination over the field (eliminate below pivots)."""
+    m = len(rows)
+    if m == 0:
+        return 0
+    width = len(rows[0])
+    rank = 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, m) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        if inv != 1:
+            rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        top = rows[rank]
+        for i in range(rank + 1, m):
+            f = rows[i][col]
+            if f:
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], top)]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def matrix_rank(mat: StrictUpperMatrix, field: FiniteField) -> int:
+    return _rank_of_rows(mat.rows(), field)
 
 
 class TestSquareIsZero:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqzero.qpoly import ONE, Q, ZERO, InexactDivisionError, QLaurentPoly
+from sqzero.qpoly import ONE, Q, ZERO, InexactDivisionError, QLaurentPoly, linear_combination
 
 
 def P(terms):
@@ -469,3 +469,48 @@ class TestDenseAgainstSparse:
         assert_matches(P(a) * P(b), sparse_mul(a, b))
         assert_matches(P(a) * P(c), sparse_mul(a, c))
         assert_matches(P(c) * P(a), sparse_mul(c, a))
+
+
+# Triples (c, s, p) for the one-list kernel: coefficients 0, +-1, small and
+# above 2^64; shifts in [-30, 30]; polynomials with zero among them.
+kernel_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-100, 100),
+    st.integers(2**64, 2**70).flatmap(lambda c: st.sampled_from([c, -c])),
+)
+kernel_terms = st.lists(
+    st.tuples(kernel_coeffs, st.integers(-30, 30), st.one_of(st.just({}), dicts).map(clean)),
+    max_size=8,
+)
+
+
+def sparse_combination(terms):
+    """The kernel's sum as a fold of the sparse reference: + over c * q^s * p."""
+    out = {}
+    for c, s, p in terms:
+        out = sparse_add(out, sparse_mul(sparse_shift(p, s), clean({0: c})))
+    return out
+
+
+def combine(terms):
+    return linear_combination([(c, s, P(p)) for c, s, p in terms])
+
+
+class TestLinearCombinationAgainstSparse:
+    @given(kernel_terms)
+    def test_sums_and_sums_cancelling_to_zero(self, terms):
+        assert_matches(combine(terms), sparse_combination(terms))
+        assert_matches(combine(terms + [(-c, s, p) for c, s, p in terms]), {})
+
+    @given(kernel_terms, st.integers(0, 4), st.integers(0, 4))
+    def test_sums_cancelling_at_both_ends(self, terms, low, high):
+        # one more term cancels the `low` lowest and `high` highest terms of the sum
+        total = sparse_combination(terms)
+        exps = sorted(total)
+        ends = {e: -total[e] for e in exps[:low] + exps[len(exps) - high :]}
+        assert_matches(combine(terms + [(1, 0, ends)]), sparse_add(total, ends))
+        assert_matches(combine(terms + [(-1, 0, total)]), {})
+
+    def test_empty_sum_and_zero_terms(self):
+        assert_matches(linear_combination([]), {})
+        assert_matches(linear_combination(iter([(0, 3, Q), (5, -2, ZERO)])), {})
