@@ -49,19 +49,7 @@ class WLaurent:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, QLaurentPoly] | None = None):
-        data: dict[int, QLaurentPoly] = {}
-        if terms:
-            for exp, poly in terms.items():
-                if poly:
-                    data[exp] = poly
-        self._terms = data
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
-
-    def coefficient(self, w_exp: int) -> QLaurentPoly:
-        return self._terms.get(w_exp, ZERO)
+        self._terms = {e: p for e, p in (terms or {}).items() if p}
 
     def constant_term(self) -> QLaurentPoly:
         """The coefficient of w^0."""
@@ -72,18 +60,6 @@ class WLaurent:
         if k == 0:
             return self
         return WLaurent({e + k: p for e, p in self._terms.items()})
-
-    def scale(self, poly: QLaurentPoly) -> WLaurent:
-        """Multiply every coefficient by a q-polynomial."""
-        return WLaurent({e: p * poly for e, p in self._terms.items()})
-
-    def __add__(self, other: WLaurent) -> WLaurent:
-        if not isinstance(other, WLaurent):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, p in other._terms.items():
-            out[e] = out.get(e, ZERO) + p
-        return WLaurent(out)
 
     def __mul__(self, other: WLaurent) -> WLaurent:
         if not isinstance(other, WLaurent):
@@ -101,12 +77,6 @@ class WLaurent:
         if not isinstance(other, WLaurent):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{e}: {p}" for e, p in sorted(self._terms.items()))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 
 from .qpoly import ONE, ZERO, QLaurentPoly
@@ -27,28 +26,35 @@ def _one_minus_q_pow(j: int) -> QLaurentPoly:
     return QLaurentPoly({0: 1, j: -1})
 
 
-# _rows[m] holds the partial quotients qbinomial(m, 0), qbinomial(m, 1), ...
-# computed so far; the lock keeps concurrent callers from appending twice.
-_rows: dict[int, list[QLaurentPoly]] = {}
-_rows_lock = threading.Lock()
+# _rows[m] holds the partial quotients qbinomial(m, 0..k) computed so far,
+# k <= m//2, as a tuple that is replaced whole and never changed in place.
+_rows: dict[int, tuple[QLaurentPoly, ...]] = {}
 
 
 def qbinomial(m: int, n: int) -> QLaurentPoly:
     """Gaussian binomial coefficient, a polynomial in q; zero unless 0 <= n <= m.
 
     Computed literally from the quotient
-    (1-q^m)(1-q^(m-1))...(1-q^(m-n+1)) / (1-q)(1-q^2)...(1-q^n),
-    one factor pair at a time.  Its partial quotients are the Gaussian
-    binomials qbinomial(m, t) for t <= n, and each is kept in a store per m,
-    so the next one costs a single multiply by (1-q^(m-t+1)) and a single
-    exact division by (1-q^t).  Every partial quotient is a polynomial, so
-    each division is exact; exact_div raising here would reveal a real bug
-    instead of hiding it.
+    (1-q^m)(1-q^(m-1))...(1-q^(m-t+1)) / (1-q)(1-q^2)...(1-q^t),
+    one factor pair at a time, with t = min(n, m - n): [m, n] = [m, m - n],
+    so row m only ever holds its first half, columns 0..m//2.  The partial
+    quotients are the Gaussian binomials qbinomial(m, t), and each row is
+    kept in a store, so the next column costs a single multiply by
+    (1-q^(m-t+1)) and a single exact division by (1-q^t).  Every partial
+    quotient is a polynomial, so each division is exact; exact_div raising
+    here would reveal a real bug instead of hiding it.
+
+    A row is extended by building a longer tuple and storing it with one
+    assignment, so the store needs no lock: threads racing on one row at
+    worst build it twice and store equal values.
     """
     if not 0 <= n <= m:
         return ZERO
-    with _rows_lock:
-        row = _rows.setdefault(m, [ONE])
+    n = min(n, m - n)
+    row = _rows.get(m, (ONE,))
+    if n >= len(row):
+        grown = list(row)
         for t in range(len(row), n + 1):
-            row.append((row[-1] * _one_minus_q_pow(m - t + 1)).exact_div(_one_minus_q_pow(t)))
-        return row[n]
+            grown.append((grown[-1] * _one_minus_q_pow(m - t + 1)).exact_div(_one_minus_q_pow(t)))
+        row = _rows[m] = tuple(grown)
+    return row[n]

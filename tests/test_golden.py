@@ -3,7 +3,9 @@
 Each case runs ``cli.main`` in-process and compares what it printed with
 ``tests/golden/<case>.json``.  Some cases first corrupt an engine, to pin
 the text and order of the failure reports.  Argparse's own usage and error
-text is left out: its wording differs between Python versions.
+text is left out: its wording differs between Python versions.  Each demo
+under ``demos/`` runs as a script in a fresh interpreter, and its stdout
+is compared with ``tests/golden/demo_<name>.txt``.
 
 A golden file changes only together with a CHANGES.md entry naming it.
 To rewrite every file from the current code, run this module as a script:
@@ -16,6 +18,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +30,8 @@ from sqzero.counting import NonPolynomialResultError
 from sqzero.qpoly import InexactDivisionError, QLaurentPoly
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _plus_one_at(name, *at):
@@ -144,8 +151,25 @@ def test_matches_golden(name, argv, patch):
     assert _run(argv, patch) == expected
 
 
+def _run_demo(demo: Path) -> bytes:
+    """The demo's stdout, from a fresh interpreter that imports sqzero from src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_matches_golden(demo):
+    assert _run_demo(demo) == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(case[0] for case in CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [f"demo_{d.stem}" for d in DEMOS]
 
 
 if __name__ == "__main__":
@@ -153,3 +177,5 @@ if __name__ == "__main__":
     for name, argv, patch in CASES:
         text = json.dumps(_run(argv, patch), indent=1, ensure_ascii=False) + "\n"
         (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+    for demo in DEMOS:
+        (GOLDEN / f"demo_{demo.stem}.txt").write_bytes(_run_demo(demo))

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from sqzero import qbinom
+from sqzero.counting import alternating_qbinomial_sum, constant_term_entry
 from sqzero.qbinom import binomial, qbinomial
 from sqzero.qpoly import ONE, ZERO, QLaurentPoly
 from test_qpoly import rescanning_exact_div
@@ -96,6 +97,29 @@ class TestAgainstLiteralQuotient:
             # one entry at a time or read it back
             for n in [m // 2, *expected]:
                 assert qbinomial(m, n) == expected[n], (m, n)
+
+    def test_column_above_the_middle_first_matches_literal(self, monkeypatch):
+        monkeypatch.setattr(qbinom, "_rows", {})
+        for m in range(41):
+            # the first call reaches past the middle, so it is read from
+            # its mirror column before anything else of row m exists
+            assert qbinomial(m, m - m // 4) == literal_qbinomial(m, m - m // 4), m
+            for n in range(m + 1):
+                assert qbinomial(m, n) == literal_qbinomial(m, n), (m, n)
+
+    def test_store_keeps_half_rows_as_tuples(self, monkeypatch):
+        monkeypatch.setattr(qbinom, "_rows", {})
+        # past the memo, so every sum is expanded against the empty store
+        for m in range(61):
+            alternating_qbinomial_sum.__wrapped__(m)
+        for n in range(41):
+            for r in range(n // 2 + 1):
+                constant_term_entry(n, r)
+        # rows 0 and 1 hold nothing past column 0, which needs no store
+        assert set(range(2, 60)) <= qbinom._rows.keys()
+        for m, row in qbinom._rows.items():
+            assert type(row) is tuple, m
+            assert len(row) <= m // 2 + 1, m
 
     def test_threads_filling_one_store_agree(self, monkeypatch):
         expected = {(m, n): literal_qbinomial(m, n) for m in range(16) for n in range(m + 1)}
