@@ -7,14 +7,14 @@ are ordinary integers mod p.
 
 Every field precomputes full q x q addition and multiplication tables, so
 the enumeration oracle's inner loop is two list lookups.  Extension fields
-are built from a fixed irreducible modulus; any irreducible modulus of the
-right degree gives an isomorphic field, hence identical counts, so the
-built-in choices below only need to be irreducible, not canonical.
+are built from a fixed monic modulus; any irreducible modulus of the right
+degree gives an isomorphic field, hence identical counts, so the built-in
+choices below only need to be irreducible, not canonical.  Each field
+checks its own multiplication table: a nonzero element with no inverse is
+a zero divisor, so the modulus is reducible, and that raises ArithmeticError.
 """
 
 from __future__ import annotations
-
-import itertools
 
 _PRIME_ORDERS = frozenset({2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31})
 
@@ -31,34 +31,6 @@ _EXTENSION_MODULI: dict[int, tuple[int, tuple[int, ...]]] = {
 SUPPORTED_ORDERS: tuple[int, ...] = tuple(sorted(_PRIME_ORDERS | set(_EXTENSION_MODULI)))
 
 
-def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of a mod b over GF(p); coefficients ascending, b monic."""
-    a = [c % p for c in a]
-    deg_b = len(b) - 1
-    while len(a) > deg_b:
-        lead = a[-1]
-        if lead:
-            off = len(a) - 1 - deg_b
-            for i, c in enumerate(b):
-                a[off + i] = (a[off + i] - lead * c) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..k//2 over GF(p);
-    exhaustive and cheap at the degrees supported here."""
-    k = len(modulus) - 1
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = tuple(tail) + (1,)
-            if not _poly_rem(list(modulus), divisor, p):
-                return False
-    return True
-
-
 def _digits(value: int, p: int, k: int) -> tuple[int, ...]:
     out = []
     for _ in range(k):
@@ -67,7 +39,7 @@ def _digits(value: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _value(digits: tuple[int, ...], p: int) -> int:
+def _value(digits: tuple[int, ...] | list[int], p: int) -> int:
     out = 0
     for d in reversed(digits):
         out = out * p + d
@@ -85,13 +57,9 @@ class FiniteField:
         elif q in _EXTENSION_MODULI:
             p, modulus = _EXTENSION_MODULI[q]
             k = len(modulus) - 1
-            if not _is_irreducible(modulus, p):
-                raise ArithmeticError(f"built-in modulus for GF({q}) is not irreducible")
         else:
             raise ValueError(f"not a supported prime power: {q}")
-        self.q, self.p, self.k = q, p, k
-        self.modulus = modulus
-        reduce_by = modulus or (0, 1)  # GF(p) is GF(p)[x]/(x)
+        self.q, self.p, self.k, self.modulus = q, p, k, modulus
         digits = [_digits(v, p, k) for v in range(q)]
         self._add = [
             [_value(tuple((x + y) % p for x, y in zip(da, db)), p) for db in digits]
@@ -107,11 +75,16 @@ class FiniteField:
                     if x:
                         for j, y in enumerate(db):
                             prod[i + j] += x * y
-                rem = _poly_rem(prod, reduce_by, p)
-                row.append(_value(tuple(rem) + (0,) * (k - len(rem)), p))
+                # x^k = -(m_0 + ... + m_{k-1} x^{k-1}); nothing to fold when k = 1
+                for top in range(2 * k - 2, k - 1, -1):
+                    for i in range(k):
+                        prod[top - k + i] -= prod[top] * modulus[i]
+                row.append(_value([c % p for c in prod[:k]], p))
             mul.append(row)
+        if any(1 not in row for row in mul[1:]):
+            raise ArithmeticError(f"built-in modulus for GF({q}) is not irreducible")
         self._mul = mul
-        self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -143,14 +116,6 @@ class FiniteField:
         if len(coeffs) > self.k or any(not 0 <= c < self.p for c in coeffs):
             raise ValueError(f"invalid coefficients for GF({self.q}): {coeffs}")
         return _value(coeffs + (0,) * (self.k - len(coeffs)), self.p)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteField):
-            return NotImplemented
-        return self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash(("FiniteField", self.q))
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"

@@ -38,29 +38,19 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-def flat_index(n: int, i: int, j: int) -> int:
-    """Position of entry (i, j), i < j, in the row-major entry vector."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"not an above-diagonal position: ({i}, {j}) for n={n}")
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
-def _square_entry_pairs(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
-    """Entry-vector index pairs (of X[i][t] and X[t][j]) summing to (X^2)ij."""
-    return tuple((flat_index(n, i, t), flat_index(n, t, j)) for t in range(i + 1, j))
-
-
 @lru_cache(maxsize=None)
 def _fill_order(n: int) -> tuple:
     """Every above-diagonal (i, j), column by column, each column from the
-    bottom up, as its entry-vector index, the index pairs summing to (X^2)ij,
-    and what it completes: at (0, j), the last of column j in this order, the
-    pair (j, entry-vector indices of column j top row first); elsewhere None."""
+    bottom up, as its index in the row-major entry vector, the index pairs
+    (of X[i][t] and X[t][j]) summing to (X^2)ij, and what it completes: at
+    (0, j), the last of column j in this order, (j, column j's indices top
+    row first); elsewhere None.  All are read from one row-major index."""
+    index = {ij: k for k, ij in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
     return tuple(
         (
-            flat_index(n, i, j),
-            _square_entry_pairs(n, i, j),
-            (j, tuple(flat_index(n, t, j) for t in range(j))) if i == 0 else None,
+            index[i, j],
+            tuple((index[i, t], index[t, j]) for t in range(i + 1, j)),
+            (j, tuple(index[t, j] for t in range(j))) if i == 0 else None,
         )
         for j in range(n)
         for i in range(j - 1, -1, -1)

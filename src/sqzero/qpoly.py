@@ -160,7 +160,7 @@ class QLaurentPoly:
             return self
         return _poly(self._lo + k, self._c)
 
-    def exact_div(self, divisor: QLaurentPoly) -> QLaurentPoly:
+    def exact_div(self, divisor: QLaurentPoly | int) -> QLaurentPoly:
         """Exact quotient self / divisor.
 
         Long division in one upward walk over the quotient's exponents: each
@@ -171,8 +171,11 @@ class QLaurentPoly:
         Raises InexactDivisionError when a coefficient is not a multiple of
         the divisor's lowest one, when a remainder is left, or when the
         quotient range is empty; that always means a caller bug, so it is
-        never truncated silently.
+        never truncated silently.  An int divisor is a constant polynomial.
         """
+        divisor = self._coerce(divisor)
+        if divisor is None:
+            raise TypeError("exact_div needs a QLaurentPoly or int divisor")
         d = divisor._c
         if not d:
             raise ZeroDivisionError("division by the zero polynomial")

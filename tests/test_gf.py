@@ -1,7 +1,10 @@
 """Finite field construction and arithmetic, checked exhaustively."""
 
+import itertools
+
 import pytest
 
+from sqzero import gf
 from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 
 
@@ -103,3 +106,69 @@ def test_inverses(q):
         assert f.mul(a, f.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+def poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
+    """Remainder of a mod b over GF(p); coefficients ascending, b monic."""
+    a = [c % p for c in a]
+    deg_b = len(b) - 1
+    while len(a) > deg_b:
+        lead = a[-1]
+        if lead:
+            off = len(a) - 1 - deg_b
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - lead * c) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def reference_tables(q: int) -> tuple[list, list, list, list]:
+    """add, mul, neg and inv tables with products reduced by the general
+    polynomial remainder above, not by the field's own monic fold."""
+    p, modulus = gf._EXTENSION_MODULI.get(q, (q, (0, 1)))  # GF(p) is GF(p)[x]/(x)
+    k = len(modulus) - 1
+    digits = [tuple(v // p**e % p for e in range(k)) for v in range(q)]
+
+    def value(coeffs):
+        return sum(c * p**e for e, c in enumerate(coeffs))
+
+    add = [[value([(x + y) % p for x, y in zip(da, db)]) for db in digits] for da in digits]
+    neg = [value([(-x) % p for x in da]) for da in digits]
+    mul = []
+    for da in digits:
+        row = []
+        for db in digits:
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(da):
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+            row.append(value(poly_rem(prod, modulus, p)))
+        mul.append(row)
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
+    return add, mul, neg, inv
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_tables_equal_the_polynomial_remainder_construction(q):
+    f = FiniteField(q)
+    assert (f._add, f._mul, f._neg, f._inv) == reference_tables(q)
+
+
+@pytest.mark.parametrize("q", sorted(gf._EXTENSION_MODULI))
+def test_built_in_moduli_are_irreducible_by_trial_division(q):
+    """No monic polynomial of degree 1..k//2 over GF(p) divides the modulus."""
+    p, modulus = gf._EXTENSION_MODULI[q]
+    k = len(modulus) - 1
+    for d in range(1, k // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            assert poly_rem(list(modulus), tail + (1,), p), (q, tail)
+
+
+@pytest.mark.parametrize("q, p", [(4, 2), (25, 5)])
+def test_reducible_modulus_raises(monkeypatch, q, p):
+    # x^2 + 1 = (x + 1)^2 over GF(2) and (x + 2)(x + 3) over GF(5)
+    monkeypatch.setitem(gf._EXTENSION_MODULI, q, (p, (1, 0, 1)))
+    with pytest.raises(ArithmeticError, match="not irreducible"):
+        FiniteField(q)

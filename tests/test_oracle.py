@@ -20,7 +20,6 @@ from sqzero.oracle import (
     _solutions,
     count_by_rank,
     count_square_zero,
-    flat_index,
 )
 
 
@@ -121,11 +120,6 @@ class TestSquareIsZero:
         for entries in ((0,) * 5, (0,) * 7):
             with pytest.raises(ValueError):
                 square_is_zero(StrictUpperMatrix(4, entries), FiniteField(2))
-
-    def test_flat_index_row_major(self):
-        assert [flat_index(4, i, j) for i in range(4) for j in range(i + 1, 4)] == list(range(6))
-        with pytest.raises(ValueError):
-            flat_index(3, 1, 1)
 
 
 class TestCounts:

@@ -130,6 +130,19 @@ class TestExactDiv:
         with pytest.raises(ZeroDivisionError):
             ONE.exact_div(ZERO)
 
+    def test_int_divisor_is_a_constant(self):
+        a = P({0: 4, 1: 2})
+        assert a.exact_div(2) == P({0: 2, 1: 1})
+        with pytest.raises(InexactDivisionError):
+            a.exact_div(3)
+        with pytest.raises(ZeroDivisionError):
+            a.exact_div(0)
+
+    @pytest.mark.parametrize("divisor", [2.0, "2", None])
+    def test_other_divisor_types_raise(self, divisor):
+        with pytest.raises(TypeError):
+            P({0: 4, 1: 2}).exact_div(divisor)
+
     def test_laurent_division(self):
         assert ONE.exact_div(P({-1: 1})) == Q
 
