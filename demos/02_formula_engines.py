@@ -32,7 +32,7 @@ N_MAX = 10
 table = recurrence_table(N_MAX)
 for n in range(1, N_MAX + 1):
     poly = closed_form(n)
-    assert poly == table.total(n) == constant_term_total(n)
+    assert poly == sum(table[n]) == constant_term_total(n)
     print(f"n={n:2d}  {poly}")
 print(f"closed form, recurrence, and constant-term totals agree for n <= {N_MAX}")
 
@@ -44,12 +44,12 @@ print(f"closed form, recurrence, and constant-term totals agree for n <= {N_MAX}
 
 for n in range(N_MAX + 1):
     for r in range(n // 2 + 1):
-        assert constant_term_entry(n, r) == table.entry(n, r)
+        assert constant_term_entry(n, r) == table[n][r]
 print("constant-term entries match the recurrence table entry by entry")
 
 print("\nthe triangular table for n <= 6:")
 for n in range(1, 7):
-    row = "  |  ".join(str(table.entry(n, r)) for r in range(n // 2 + 1))
+    row = "  |  ".join(str(entry) for entry in table[n])
     print(f"  n={n}: {row}")
 
 ###############################################################################

@@ -4,7 +4,6 @@ oracle, all in exact integer arithmetic."""
 
 from .counting import (
     NonPolynomialResultError,
-    TriangularTable,
     alternating_qbinomial_sum,
     alternating_qbinomial_sum_closed,
     closed_form,
@@ -31,7 +30,6 @@ __all__ = [
     "Q",
     "binomial",
     "qbinomial",
-    "TriangularTable",
     "NonPolynomialResultError",
     "recurrence_table",
     "closed_form",

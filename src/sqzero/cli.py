@@ -68,8 +68,8 @@ def _cmd_verify(args) -> int:
     table = counting.recurrence_table(args.n_max)
     mismatches: list[str] = []
     for n in range(1, args.n_max + 1):
-        entries = table.row(n)
-        reference = table.total(n)
+        entries = table[n]
+        reference = counting.row_total(entries)
         total_issues: list[str] = []
         entry_issues: list[str] = []
         for name, engine in counting.ENGINES.items():

@@ -4,7 +4,8 @@ Independent routes produce the same polynomials:
 
 * ``closed_form(n)`` evaluates the alternating-binomial closed form directly.
 * ``recurrence_table(n_max)`` fills the triangular table of per-index
-  polynomials from its two-term recurrence; row sums give the totals.
+  polynomials from its two-term recurrence, as a plain list of rows
+  ``rows[n] == [t(n, 0), ..., t(n, n//2)]``; ``row_total`` sums a row.
 * ``constant_term_entry(n, r)`` rebuilds one table entry as the constant
   term (in w) of a finite Laurent product.
 * ``constant_term_total(n)`` rebuilds a whole row sum the same way, with
@@ -83,53 +84,29 @@ class WLaurent:
         return f"WLaurent({{{inner}}})"
 
 
-class TriangularTable:
-    """Triangular array of polynomials t(n, r) for 0 <= n <= n_max, 0 <= 2r <= n.
+def recurrence_table(n_max: int) -> list[list[QLaurentPoly]]:
+    """The rows t(n, 0..n//2) for 0 <= n <= n_max, filled by
+    t(n+1, r+1) = q^(r+1) t(n, r+1) + (q^(n-r) - q^r) t(n, r), t(n, 0) = 1.
 
-    Outside the stored wedge every entry is zero: the recurrence coefficient
-    q^(n-r) - q^r vanishes at n = 2r, so nonzero support can never escape
-    0 <= 2r <= n even though the recurrence itself never says so.
-    """
-
-    __slots__ = ("n_max", "_entries")
-
-    def __init__(self, n_max: int, entries: dict[tuple[int, int], QLaurentPoly]):
-        self.n_max = n_max
-        self._entries = entries
-
-    def entry(self, n: int, r: int) -> QLaurentPoly:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"row {n} outside table (n_max={self.n_max})")
-        return self._entries.get((n, r), ZERO)
-
-    def row(self, n: int) -> list[QLaurentPoly]:
-        """The entries t(n, 0..n//2)."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"row {n} outside table (n_max={self.n_max})")
-        return [self._entries.get((n, r), ZERO) for r in range(n // 2 + 1)]
-
-    def total(self, n: int) -> QLaurentPoly:
-        """Row sum over all stored r."""
-        return linear_combination((1, 0, p) for p in self.row(n))
-
-
-def recurrence_table(n_max: int) -> TriangularTable:
-    """Fill the table by t(n+1, r+1) = q^(r+1) t(n, r+1) + (q^(n-r) - q^r) t(n, r),
-    with t(n, 0) = 1 and entries outside 0 <= 2r <= n treated as zero.
-
-    Row 0 is seeded with the single entry 1 (the empty matrix counts once),
-    which the recurrence never reads but keeps row sums defined for n = 0.
+    Rows stop at r = n//2: at n = 2r the coefficient q^(n-r) - q^r vanishes,
+    so the step past the last entry of a row is zero and nothing outside
+    0 <= 2r <= n is ever nonzero.  Each row is built from the one before it
+    with a zero appended for t(n, n//2 + 1).  Row 0 is the single entry 1
+    (the empty matrix counts once), which the recurrence never reads but
+    keeps row sums defined for n = 0.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    entries: dict[tuple[int, int], QLaurentPoly] = {(0, 0): ONE}
+    rows = [[ONE]]
     for n in range(n_max):
-        entries[(n + 1, 0)] = ONE
-        for r in range((n + 1) // 2):
-            entries[(n + 1, r + 1)] = _recurrence_step(
-                n, r, entries.get((n, r + 1), ZERO), entries.get((n, r), ZERO)
-            )
-    return TriangularTable(n_max, entries)
+        prev = rows[-1] + [ZERO]
+        rows.append([ONE] + [_recurrence_step(n, r, prev[r + 1], prev[r]) for r in range((n + 1) // 2)])
+    return rows
+
+
+def row_total(entries: list[QLaurentPoly]) -> QLaurentPoly:
+    """The sum of a row of table entries, as one ``linear_combination``."""
+    return linear_combination((1, 0, p) for p in entries)
 
 
 def _recurrence_step(n: int, r: int, t_same: QLaurentPoly, t_lower: QLaurentPoly) -> QLaurentPoly:
@@ -142,22 +119,20 @@ def closed_form(n: int) -> QLaurentPoly:
     """The count of n x n strictly upper-triangular square-zero matrices
     over a q-element field, as a polynomial in q.
 
-    For n = 2m the j-th term is [C(2m, m-3j) - C(2m, m-3j-1)] q^(m^2-3j^2-j);
-    for n = 2m+1 it is [C(2m+1, m-3j) - C(2m+1, m-3j-1)] q^(m^2+m-3j^2-2j).
+    With n = 2m + odd (odd in {0, 1}) the j-th term is
+    [C(n, m-3j) - C(n, m-3j-1)] q^(m^2 + odd*m - 3j^2 - (1+odd)j): for even n
+    the exponent is m^2-3j^2-j, for odd n it is m^2+m-3j^2-2j.
     j runs over every integer for which a binomial survives; both vanish
     once |3j| exceeds n+1, so scanning |j| <= n covers the full support.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    m = n // 2
+    m, odd = divmod(n, 2)
     terms: dict[int, int] = {}
     for j in range(-n, n + 1):
         c = binomial(n, m - 3 * j) - binomial(n, m - 3 * j - 1)
         if c:
-            if n % 2 == 0:
-                e = m * m - 3 * j * j - j
-            else:
-                e = m * m + m - 3 * j * j - 2 * j
+            e = m * m + odd * m - 3 * j * j - (1 + odd) * j
             terms[e] = terms.get(e, 0) + c
     return QLaurentPoly(terms)
 
@@ -266,7 +241,7 @@ def constant_term_total(n: int) -> QLaurentPoly:
 # when called, so a patched or traced module function is the one that runs.
 ENGINES: dict[str, Callable[[int], QLaurentPoly | list[QLaurentPoly]]] = {
     "closed": lambda n: closed_form(n),
-    "recurrence": lambda n: recurrence_table(n).row(n),
+    "recurrence": lambda n: recurrence_table(n)[n],
     "anna": lambda n: [constant_term_entry(n, r) for r in range(n // 2 + 1)],
     "sumanna": lambda n: constant_term_total(n),
 }
@@ -275,4 +250,4 @@ ENGINES: dict[str, Callable[[int], QLaurentPoly | list[QLaurentPoly]]] = {
 def engine_total(name: str, n: int) -> QLaurentPoly:
     """The row total of engine ``name`` at n: its result, or the sum of its entries."""
     out = ENGINES[name](n)
-    return out if isinstance(out, QLaurentPoly) else linear_combination((1, 0, p) for p in out)
+    return out if isinstance(out, QLaurentPoly) else row_total(out)

@@ -82,10 +82,6 @@ class QLaurentPoly:
         self._lo, self._c = lo, tuple(coeffs)
 
     @classmethod
-    def constant(cls, c: int) -> QLaurentPoly:
-        return _poly(0, (c,))
-
-    @classmethod
     def monomial(cls, coeff: int, exp: int) -> QLaurentPoly:
         """coeff * q**exp"""
         return _poly(exp, (coeff,))
