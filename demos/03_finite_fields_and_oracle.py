@@ -70,7 +70,7 @@ print(f"  total: {sum(ranks.values())} = {closed_form(5).eval_at(2)}")
 # One process
 # -----------
 # The search always runs in the calling process. A process pool was removed
-# because it did not pay for itself: on 2 vCPU, count_square_zero(8, 2) took
-# 2.00 s and 2.09 s with 1 worker and 2.15 s and 2.19 s with 2. The
-# `workers=` keyword and `--workers` are still accepted and ignored, until
-# the benchmark stops passing them.
+# because it did not pay for itself: on 2 vCPU, with the search as it was
+# then, count_square_zero(8, 2) took 2.00 s and 2.09 s with 1 worker and
+# 2.15 s and 2.19 s with 2. The `workers=` keyword and `--workers` are
+# still accepted and ignored, until the benchmark stops passing them.

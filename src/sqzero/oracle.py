@@ -41,15 +41,19 @@ class BudgetExceededError(Exception):
 @lru_cache(maxsize=None)
 def _fill_order(n: int) -> tuple:
     """Every above-diagonal (i, j), column by column, each column from the
-    bottom up, as its index in the row-major entry vector, the index pairs
-    (of X[i][t] and X[t][j]) summing to (X^2)ij, and what it completes: at
-    (0, j), the last of column j in this order, (j, column j's indices top
-    row first); elsewhere None.  All are read from one row-major index."""
+    bottom up, as its index in the row-major entry vector; for i > 0, the
+    check that assigning it completes, (X^2)[i-1][j], as the index of
+    X[i-1][i] and the index pairs (of X[i-1][t] and X[t][j], i < t < j)
+    of its fixed part, else None; and what it completes: at (0, j), the
+    last of column j in this order, (j, column j's indices top row first);
+    elsewhere None.  All are read from one row-major index."""
     index = {ij: k for k, ij in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
     return tuple(
         (
             index[i, j],
-            tuple((index[i, t], index[t, j]) for t in range(i + 1, j)),
+            (index[i - 1, i], tuple((index[i - 1, t], index[t, j]) for t in range(i + 1, j)))
+            if i
+            else None,
             (j, tuple(index[t, j] for t in range(j))) if i == 0 else None,
         )
         for j in range(n)
@@ -57,28 +61,18 @@ def _fill_order(n: int) -> tuple:
     )
 
 
-def _square_entry(entries, field: FiniteField, pairs) -> int:
-    acc = 0
-    for u, v in pairs:
-        x = entries[u]
-        if x:
-            y = entries[v]
-            if y:
-                acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
 def _reduce(column: list[int], basis, field: FiniteField) -> list[int]:
     """Subtract from ``column``, in place, its components along an echelon
     basis: (pivot, vector) pairs, each vector a tuple of its nonzero
     (row, value) entries with value 1 at its pivot and 0 at every earlier
     pair's pivot.  What is left is zero iff the column lies in the span."""
+    add, mul, neg = field._add, field._mul, field._neg
     for p, vector in basis:
         c = column[p]
         if c:
-            c = field.neg(c)
+            times = mul[neg[c]]
             for i, y in vector:
-                column[i] = field.add(column[i], field.mul(c, y))
+                column[i] = add[column[i]][times[y]]
     return column
 
 
@@ -87,8 +81,8 @@ def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
     column = _reduce(column, basis, field)
     for p, x in enumerate(column):
         if x:
-            inv = field.inv(x)
-            vector = tuple((i, field.mul(inv, y)) for i, y in enumerate(column) if y)
+            times = field._mul[field._inv[x]]
+            vector = tuple((i, times[y]) for i, y in enumerate(column) if y)
             return basis + ((p, vector),)
     return basis
 
@@ -97,11 +91,14 @@ def _solutions(n: int, field: FiniteField, ranked: bool = False):
     """Yield every square-zero X as its row-major entry list, by a depth-first
     search that fills X column by column, each column from the bottom up.
 
-    When the search reaches (i, j), every X[i][t] and X[t][j] with i < t < j
-    is already filled, so (X^2)ij is fixed; a nonzero one prunes the subtree
-    before any value of X[i][j] is tried.  Each entry of X^2 with j >= i+2 is
-    checked exactly once on the path to a leaf, so every yielded X is fully
-    checked.  The yielded list is reused.
+    Assigning X[i][j] with i > 0 completes (X^2)[i-1][j] = X[i-1][i]*X[i][j]
+    + s, where s, the sum over i < t < j of X[i-1][t]*X[t][j], reads only
+    entries filled earlier.  So s is summed once, when the search enters
+    (i, j), and kept per depth until it backtracks; each value x tried there
+    is then checked in full as add[s][mul[X[i-1][i]][x]], read from the
+    field's tables, and a nonzero entry prunes the subtree.  Each entry of
+    X^2 with j >= i+2 is checked exactly once on the path to a leaf, so
+    every yielded X is fully checked.  The yielded list is reused.
 
     With ``ranked``, each leaf is yielded as (entries, rank of X), the rank
     kept as a column echelon basis along the search, one slot per column:
@@ -115,29 +112,43 @@ def _solutions(n: int, field: FiniteField, ranked: bool = False):
     if not order:
         yield (entries, 0) if ranked else entries
         return
+    add, mul, values = field._add, field._mul, range(field.q)
     last = len(order) - 1
     basis = [()] * n  # basis[j]: echelon basis of columns 0..j
-    tries = [iter(field.elements())]  # (0, 1) has nothing to check
+    tries = [iter(values)]
+    fixed = [None]  # per depth: (add[s], mul[X[i-1][i]]), None at i = 0
     while tries:
         depth = len(tries) - 1
-        pos = order[depth][0]
+        pos, _, done = order[depth]
+        check = fixed[depth]
+        if check:
+            plus_s, times_a = check
         for x in tries[depth]:
             entries[pos] = x
             if depth == last:
                 if ranked:
-                    j, column = order[depth][2]
+                    j, column = done
                     left = _reduce([entries[k] for k in column], basis[j - 1], field)
                     yield entries, len(basis[j - 1]) + any(left)
                 else:
                     yield entries
-            elif not _square_entry(entries, field, order[depth + 1][1]):
-                if ranked and order[depth][2]:
-                    j, column = order[depth][2]
+            elif not (check and plus_s[times_a[x]]):
+                if ranked and done:
+                    j, column = done
                     basis[j] = _extend(basis[j - 1], [entries[k] for k in column], field)
-                tries.append(iter(field.elements()))
+                tries.append(iter(values))
+                entering = order[depth + 1][1]
+                if entering:
+                    a, pairs = entering
+                    s = 0
+                    for u, v in pairs:
+                        s = add[s][mul[entries[u]][entries[v]]]
+                    entering = add[s], mul[entries[a]]
+                fixed.append(entering)
                 break
         else:
             tries.pop()
+            fixed.pop()
 
 
 def _enumerate(n: int, q: int, budget: int, by_rank: bool):

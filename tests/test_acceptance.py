@@ -89,6 +89,9 @@ def test_criterion_6_oracle_agreement():
             counted = count_square_zero(n, q)
             predicted = closed_form(n).eval_at(q)
             assert counted == predicted, f"(n={n}, q={q}): {counted} != {predicted}"
+        # 2^28 = 268M candidates, past the default budget; about 0.7 s on 2 vCPU.
+        counted = count_square_zero(8, 2, budget=10**9)
+        assert counted == closed_form(8).eval_at(2) == 618_496, f"(n=8, q=2): {counted}"
 
 
 def test_criterion_7_degree_and_leading_coefficient_laws():

@@ -90,6 +90,15 @@ def _cases():
         for fmt in ("text", "json"):
             argv = ["oracle", "--n", str(n), "--q", str(q), "--workers", "1", "--format", fmt]
             cases.append((f"oracle_{n}_{q}{'_by_rank' if extra else ''}_{fmt}", argv + extra, None))
+    # the oracle workload's own commands, argv exactly as the benchmark runs them
+    cases += [
+        ("oracle_7_2_text", ["oracle", "--n", "7", "--q", "2", "--workers", "1"], None),
+        (
+            "oracle_5_4_by_rank_text",
+            ["oracle", "--n", "5", "--q", "4", "--workers", "1", "--by-rank"],
+            None,
+        ),
+    ]
     for fmt in ("csv", "json"):
         argv = ["table", "--n-max", "30", "--q-list", "9,16", "--format", fmt]
         cases.append((f"table_30_{fmt}", argv, None))

@@ -3,16 +3,22 @@
 The oracle's references live here, not in the package: a matrix type,
 X^2 = 0 from field add and mul in row-major order, and the rank by
 Gaussian elimination.  None of them uses the search's fill order or its
-incremental checks, so they stay independent of the code they check.
+incremental checks, so they stay independent of the code they check.  The
+search as it stood before its checks read the field's tables directly is
+kept here too, so the rewritten one can be held to the same leaves in the
+same order.
 """
 
 import itertools
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import sqzero
 from sqzero.counting import closed_form
 from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
@@ -228,6 +234,103 @@ class TestAgainstOdometer:
         assert ranks[2] == ranks[3] == ranks[1]
 
 
+# The search as it stood before each check's fixed part was summed once per
+# node and the field's tables were bound once: copied unchanged but for the
+# names, as the reference the rewritten kernel must match leaf for leaf.
+@lru_cache(maxsize=None)
+def previous_fill_order(n: int) -> tuple:
+    index = {ij: k for k, ij in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+    return tuple(
+        (
+            index[i, j],
+            tuple((index[i, t], index[t, j]) for t in range(i + 1, j)),
+            (j, tuple(index[t, j] for t in range(j))) if i == 0 else None,
+        )
+        for j in range(n)
+        for i in range(j - 1, -1, -1)
+    )
+
+
+def previous_square_entry(entries, field: FiniteField, pairs) -> int:
+    acc = 0
+    for u, v in pairs:
+        x = entries[u]
+        if x:
+            y = entries[v]
+            if y:
+                acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+def previous_reduce(column: list[int], basis, field: FiniteField) -> list[int]:
+    for p, vector in basis:
+        c = column[p]
+        if c:
+            c = field.neg(c)
+            for i, y in vector:
+                column[i] = field.add(column[i], field.mul(c, y))
+    return column
+
+
+def previous_extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
+    column = previous_reduce(column, basis, field)
+    for p, x in enumerate(column):
+        if x:
+            inv = field.inv(x)
+            vector = tuple((i, field.mul(inv, y)) for i, y in enumerate(column) if y)
+            return basis + ((p, vector),)
+    return basis
+
+
+def previous_solutions(n: int, field: FiniteField, ranked: bool = False):
+    order = previous_fill_order(n)
+    entries = [0] * len(order)
+    if not order:
+        yield (entries, 0) if ranked else entries
+        return
+    last = len(order) - 1
+    basis = [()] * n  # basis[j]: echelon basis of columns 0..j
+    tries = [iter(field.elements())]  # (0, 1) has nothing to check
+    while tries:
+        depth = len(tries) - 1
+        pos = order[depth][0]
+        for x in tries[depth]:
+            entries[pos] = x
+            if depth == last:
+                if ranked:
+                    j, column = order[depth][2]
+                    left = previous_reduce([entries[k] for k in column], basis[j - 1], field)
+                    yield entries, len(basis[j - 1]) + any(left)
+                else:
+                    yield entries
+            elif not previous_square_entry(entries, field, order[depth + 1][1]):
+                if ranked and order[depth][2]:
+                    j, column = order[depth][2]
+                    basis[j] = previous_extend(basis[j - 1], [entries[k] for k in column], field)
+                tries.append(iter(field.elements()))
+                break
+        else:
+            tries.pop()
+
+
+PREVIOUS_GRID = sorted(set(DIFFERENTIAL_GRID) | {(5, 4), (4, 9), (6, 2), (6, 3)})
+
+
+class TestAgainstPreviousKernel:
+    @pytest.mark.parametrize("ranked", [False, True], ids=["count", "ranked"])
+    @pytest.mark.parametrize("n,q", PREVIOUS_GRID, ids=lambda v: str(v))
+    def test_same_leaves_in_the_same_order(self, n, q, ranked):
+        field = FiniteField(q)
+
+        def leaves(search):
+            for leaf in search(n, field, ranked):
+                yield (tuple(leaf[0]), leaf[1]) if ranked else tuple(leaf)
+
+        pairs = itertools.zip_longest(leaves(_solutions), leaves(previous_solutions))
+        for k, (new, old) in enumerate(pairs):
+            assert new == old, f"leaf {k}"
+
+
 class TestTrackedRank:
     """The rank carried down the search against a full elimination of each
     leaf, at points beyond the odometer grid."""
@@ -237,3 +340,26 @@ class TestTrackedRank:
         field = FiniteField(q)
         for entries, rank in _solutions(n, field, ranked=True):
             assert rank == matrix_rank(StrictUpperMatrix(n, tuple(entries)), field), entries
+
+
+class TestIndependence:
+    """The oracle's whole value as a cross-check is that it shares no code
+    with the polynomial engines it checks."""
+
+    def test_reaches_only_gf_and_oracle(self):
+        package = Path(sqzero.__file__).resolve().parent
+        reached = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                path = Path(frame.f_code.co_filename).resolve()
+                if path.is_relative_to(package):
+                    reached.add(path.relative_to(package).as_posix())
+
+        sys.setprofile(profile)
+        try:
+            count_square_zero(4, 3)
+            count_by_rank(4, 3)
+        finally:
+            sys.setprofile(None)
+        assert reached == {"gf.py", "oracle.py"}
