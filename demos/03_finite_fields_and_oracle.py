@@ -30,11 +30,11 @@ print(f"supported orders: {SUPPORTED_ORDERS}")
 
 f4 = FiniteField(4)
 x = f4.element([0, 1])
-print(f"GF(4): x = {x}, x + x = {f4.add(x, x)}, x * x = {f4.mul(x, x)} (= x + 1)")
+print(f"GF(4): x = {x}, x + x = {f4.add[x][x]}, x * x = {f4.mul[x][x]} (= x + 1)")
 
 f9 = FiniteField(9)
 x = f9.element([0, 1])
-print(f"GF(9): x * x = {f9.mul(x, x)} (modulus x^2 + 1, so x^2 = -1 = 2)")
+print(f"GF(9): x * x = {f9.mul[x][x]} (modulus x^2 + 1, so x^2 = -1 = 2)")
 
 ###############################################################################
 # Oracle vs formula

@@ -5,9 +5,10 @@ the coefficients of the element's polynomial representation, so 0 and 1
 are always the additive and multiplicative identities and prime fields
 are ordinary integers mod p.
 
-Every field precomputes full q x q addition and multiplication tables, so
-the enumeration oracle's inner loop is two list lookups.  Extension fields
-are built from a fixed monic modulus; any irreducible modulus of the right
+Every field precomputes its q x q addition and multiplication tables and
+its negation table as tuples, and those tables are its interface, so the
+enumeration oracle's inner loop is tuple lookups.  Extension fields are
+built from a fixed monic modulus; any irreducible modulus of the right
 degree gives an isomorphic field, hence identical counts, so the built-in
 choices below only need to be irreducible, not canonical.  Each field
 checks its own multiplication table: a nonzero element with no inverse is
@@ -47,9 +48,10 @@ def _value(digits: tuple[int, ...] | list[int], p: int) -> int:
 
 
 class FiniteField:
-    """GF(q) for q in SUPPORTED_ORDERS; immutable once constructed."""
+    """GF(q) for q in SUPPORTED_ORDERS; immutable once constructed.  Its
+    interface is the tables add[a][b], mul[a][b] and neg[a], and inv(a)."""
 
-    __slots__ = ("q", "p", "k", "modulus", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("q", "p", "k", "modulus", "add", "mul", "neg", "_inv")
 
     def __init__(self, q: int):
         if q in _PRIME_ORDERS:
@@ -61,11 +63,11 @@ class FiniteField:
             raise ValueError(f"not a supported prime power: {q}")
         self.q, self.p, self.k, self.modulus = q, p, k, modulus
         digits = [_digits(v, p, k) for v in range(q)]
-        self._add = [
-            [_value(tuple((x + y) % p for x, y in zip(da, db)), p) for db in digits]
+        self.add = tuple(
+            tuple(_value(tuple((x + y) % p for x, y in zip(da, db)), p) for db in digits)
             for da in digits
-        ]
-        self._neg = [_value(tuple((-x) % p for x in da), p) for da in digits]
+        )
+        self.neg = tuple(row.index(0) for row in self.add)
         mul = []
         for da in digits:
             row = []
@@ -80,31 +82,16 @@ class FiniteField:
                     for i in range(k):
                         prod[top - k + i] -= prod[top] * modulus[i]
                 row.append(_value([c % p for c in prod[:k]], p))
-            mul.append(row)
+            mul.append(tuple(row))
         if any(1 not in row for row in mul[1:]):
             raise ArithmeticError(f"built-in modulus for GF({q}) is not irreducible")
-        self._mul = mul
-        self._inv = [0] + [row.index(1) for row in mul[1:]]
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        self.mul = tuple(mul)
+        self._inv = (0,) + tuple(row.index(1) for row in mul[1:])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self._inv[a]
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def coeffs_of(self, a: int) -> tuple[int, ...]:
         """Base-p digits of an element, i.e. its polynomial coefficients."""

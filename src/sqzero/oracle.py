@@ -16,7 +16,6 @@ diagonal and the two counts coincide.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 from .gf import FiniteField
 
@@ -38,7 +37,6 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-@lru_cache(maxsize=None)
 def _fill_order(n: int) -> tuple:
     """Every above-diagonal (i, j), column by column, each column from the
     bottom up, as its index in the row-major entry vector; for i > 0, the
@@ -66,7 +64,7 @@ def _reduce(column: list[int], basis, field: FiniteField) -> list[int]:
     basis: (pivot, vector) pairs, each vector a tuple of its nonzero
     (row, value) entries with value 1 at its pivot and 0 at every earlier
     pair's pivot.  What is left is zero iff the column lies in the span."""
-    add, mul, neg = field._add, field._mul, field._neg
+    add, mul, neg = field.add, field.mul, field.neg
     for p, vector in basis:
         c = column[p]
         if c:
@@ -81,7 +79,7 @@ def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
     column = _reduce(column, basis, field)
     for p, x in enumerate(column):
         if x:
-            times = field._mul[field._inv[x]]
+            times = field.mul[field.inv(x)]
             vector = tuple((i, times[y]) for i, y in enumerate(column) if y)
             return basis + ((p, vector),)
     return basis
@@ -112,7 +110,7 @@ def _solutions(n: int, field: FiniteField, ranked: bool = False):
     if not order:
         yield (entries, 0) if ranked else entries
         return
-    add, mul, values = field._add, field._mul, range(field.q)
+    add, mul, values = field.add, field.mul, range(field.q)
     last = len(order) - 1
     basis = [()] * n  # basis[j]: echelon basis of columns 0..j
     tries = [iter(values)]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sqzero import cli, counting, oracle
+from sqzero import cli, counting, oracle, qbinom
 from sqzero.cli import main
 from sqzero.counting import NonPolynomialResultError
 from sqzero.qpoly import InexactDivisionError, QLaurentPoly
@@ -169,6 +169,24 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1].startswith("verify: PASS")
         assert calls == [40]
+
+    def test_a_wrong_stored_binomial_fails_both_constant_term_routes(self, capsys, monkeypatch):
+        # anna and sumanna read their Gaussian binomials from one store;
+        # a wrong entry there must fail verify, not cancel between them
+        monkeypatch.setattr(qbinom, "_rows", {})
+        counting.alternating_qbinomial_sum.cache_clear()
+        try:
+            qbinom.qbinomial(6, 3)
+            row = qbinom._rows[6]
+            qbinom._rows[6] = row[:2] + (row[2] + QLaurentPoly({0: 1}),) + row[3:]
+            code, out, _ = run(capsys, "verify", "--n-max", "10")
+        finally:
+            counting.alternating_qbinomial_sum.cache_clear()
+        mismatches = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+        assert code == 1
+        assert any(": anna [" in line for line in mismatches)
+        assert any(": sumanna [" in line for line in mismatches)
+        assert out.splitlines()[-1].startswith("verify: FAIL (5 mismatches")
 
     def test_reaches_n_60(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "60")

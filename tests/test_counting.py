@@ -2,10 +2,11 @@
 structural laws the closed form must obey."""
 
 import math
+import sys
 
 import pytest
 
-from sqzero import counting
+from sqzero import counting, qbinom
 from sqzero.counting import (
     ENGINES,
     WLaurent,
@@ -304,6 +305,90 @@ def test_total_expands_the_inner_sum_without_its_closed_form(monkeypatch):
     assert alternating_qbinomial_sum(25) == loop_alternating_sum(25)
     assert alternating_qbinomial_sum(25) == loop_alternating_sum(25)
     assert asked == [(25 - i, i) for i in range(13)]
+
+
+# Every named sqzero function each route reaches at n = 12 from empty
+# stores, as module.qualname (lambdas and comprehensions left out).  What
+# the routes share is the exact arithmetic, never each other's entry point.
+_CONSTANT_TERM_SHARED = {
+    "counting._envelope",
+    "qbinom.binomial",
+    "qbinom.qbinomial",
+    "qbinom._one_minus_q_pow",
+    "qpoly.QLaurentPoly.__init__",
+    "qpoly.QLaurentPoly.__mul__",
+    "qpoly.QLaurentPoly._coerce",
+    "qpoly.QLaurentPoly.exact_div",
+    "qpoly.QLaurentPoly.is_polynomial",
+    "qpoly.linear_combination",
+    "qpoly._poly",
+}
+ROUTES = {
+    "closed": {"counting.closed_form", "qbinom.binomial", "qpoly.QLaurentPoly.__init__"},
+    "recurrence": {
+        "counting.recurrence_table",
+        "counting._recurrence_step",
+        "qpoly.linear_combination",
+        "qpoly._poly",
+    },
+    "anna": {"counting.constant_term_entry"} | _CONSTANT_TERM_SHARED,
+    "sumanna": {"counting.constant_term_total", "counting.alternating_qbinomial_sum"}
+    | _CONSTANT_TERM_SHARED,
+}
+ENTRY_POINTS = {
+    "closed": "counting.closed_form",
+    "recurrence": "counting.recurrence_table",
+    "anna": "counting.constant_term_entry",
+    "sumanna": "counting.constant_term_total",
+}
+
+
+def clear_stores():
+    alternating_qbinomial_sum.cache_clear()
+    qbinom._one_minus_q_pow.cache_clear()
+
+
+class TestRouteIndependence:
+    @pytest.fixture(scope="class")
+    def reached(self):
+        out = {}
+        for name, engine in ENGINES.items():
+            functions = set()
+
+            def profile(frame, event, arg):
+                module = frame.f_globals.get("__name__", "")
+                qualname = frame.f_code.co_qualname
+                if event == "call" and module.startswith("sqzero.") and "<" not in qualname:
+                    functions.add(f"{module.removeprefix('sqzero.')}.{qualname}")
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qbinom, "_rows", {})
+                clear_stores()
+                sys.setprofile(profile)
+                try:
+                    engine(12)
+                finally:
+                    sys.setprofile(None)
+                    clear_stores()
+            out[name] = functions
+        return out
+
+    def test_each_route_reaches_exactly_its_table_row(self, reached):
+        assert reached == ROUTES
+
+    def test_closed_and_recurrence_use_no_gaussian_binomial(self, reached):
+        for name in ("closed", "recurrence"):
+            assert {f for f in reached[name] if f.startswith("qbinom.")} <= {"qbinom.binomial"}
+
+    def test_no_route_reaches_another_routes_entry_point(self, reached):
+        for name, functions in reached.items():
+            others = {entry for other, entry in ENTRY_POINTS.items() if other != name}
+            assert not functions & others, name
+            assert ENTRY_POINTS[name] in functions
+
+    def test_no_route_reaches_the_closed_form_of_the_inner_sum(self, reached):
+        for functions in reached.values():
+            assert "counting.alternating_qbinomial_sum_closed" not in functions
 
 
 # The engine loops as they were before sums were formed in one list, written

@@ -32,28 +32,28 @@ class TestConstruction:
 
 class TestArithmeticExamples:
     def test_characteristic_two(self):
-        assert FiniteField(2).add(1, 1) == 0
+        assert FiniteField(2).add[1][1] == 0
 
     def test_prime_modular(self):
         f = FiniteField(5)
-        assert f.add(3, 4) == 2
-        assert f.mul(2, 3) == 1
+        assert f.add[3][4] == 2
+        assert f.mul[2][3] == 1
 
     def test_gf4(self):
         f = FiniteField(4)
         x = f.element([0, 1])
         assert x == 2
-        assert f.add(x, x) == 0
-        assert f.mul(x, x) == f.element([1, 1])  # x^2 reduces to x + 1
+        assert f.add[x][x] == 0
+        assert f.mul[x][x] == f.element([1, 1])  # x^2 reduces to x + 1
 
     def test_gf9(self):
         f = FiniteField(9)
         x = f.element([0, 1])
-        assert f.mul(x, x) == 2  # x^2 = -1 = 2 under modulus x^2 + 1
+        assert f.mul[x][x] == 2  # x^2 = -1 = 2 under modulus x^2 + 1
 
     def test_element_round_trip(self):
         f = FiniteField(8)
-        for a in f.elements():
+        for a in range(f.q):
             assert f.element(f.coeffs_of(a)) == a
 
     def test_element_validation(self):
@@ -66,24 +66,24 @@ class TestArithmeticExamples:
 
 def assert_field_axioms(f: FiniteField) -> None:
     """Exhaustive check of the field axioms for a (small) field."""
-    elems = list(f.elements())
+    elems = range(f.q)
     for a in elems:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.mul(a, 0) == 0
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add[a][0] == a
+        assert f.mul[a][1] == a
+        assert f.mul[a][0] == 0
+        assert f.add[a][f.neg[a]] == 0
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.mul[a][f.inv(a)] == 1
     for a in elems:
         for b in elems:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
+            assert f.add[a][b] == f.add[b][a]
+            assert f.mul[a][b] == f.mul[b][a]
     for a in elems:
         for b in elems:
             for c in elems:
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                assert f.add[f.add[a][b]][c] == f.add[a][f.add[b][c]]
+                assert f.mul[f.mul[a][b]][c] == f.mul[a][f.mul[b][c]]
+                assert f.mul[a][f.add[b][c]] == f.add[f.mul[a][b]][f.mul[a][c]]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -95,15 +95,28 @@ def test_field_axioms(q):
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_no_nonzero_square_root_of_zero(q):
     f = FiniteField(q)
-    for a in f.elements():
-        assert (f.mul(a, a) == 0) == (a == 0)
+    for a in range(q):
+        assert (f.mul[a][a] == 0) == (a == 0)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_tables_are_read_only_tuples(q):
+    f = FiniteField(q)
+    for table in (f.add, f.mul, f.neg, *f.add, *f.mul):
+        assert type(table) is tuple
+    with pytest.raises(TypeError):
+        f.add[1][1] = 0
+    with pytest.raises(TypeError):
+        f.mul[1] = f.mul[0]
+    with pytest.raises(TypeError):
+        f.neg[1] = 1
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_inverses(q):
     f = FiniteField(q)
     for a in range(1, q):
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul[a][f.inv(a)] == 1
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
 
@@ -153,7 +166,9 @@ def reference_tables(q: int) -> tuple[list, list, list, list]:
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_tables_equal_the_polynomial_remainder_construction(q):
     f = FiniteField(q)
-    assert (f._add, f._mul, f._neg, f._inv) == reference_tables(q)
+    add, mul, neg, inv = reference_tables(q)
+    assert (f.add, f.mul, f.neg) == (tuple(map(tuple, add)), tuple(map(tuple, mul)), tuple(neg))
+    assert [f.inv(a) for a in range(1, q)] == inv[1:]
 
 
 @pytest.mark.parametrize("q", sorted(gf._EXTENSION_MODULI))
