@@ -40,8 +40,10 @@ print(f"GF(9): x * x = {f9.mul[x][x]} (modulus x^2 + 1, so x^2 = -1 = 2)")
 # Oracle vs formula
 # -----------------
 # Enumeration over small (n, q) grids, compared with the closed form
-# evaluated at q.  The search prunes a partial matrix as soon as an entry
-# of its square is fixed and nonzero, so each counted matrix is checked.
+# evaluated at q.  The search assigns a value only if the entry of the
+# square it completes is zero, by the field's add and mul, so each counted
+# matrix is checked; the corner entry X[0][n-1] is in no entry of the
+# square, so each checked partial matrix counts q times.
 
 print("\n n  q   oracle   formula")
 for q in (2, 3, 4, 5):

@@ -3,8 +3,10 @@ whose square is zero, and count them totally and by rank.
 
 Its entire value as a cross-check comes from sharing no machinery with the
 polynomial engines it is compared against, so the search takes no algebraic
-shortcut: it prunes only on entries of X^2 computed with field add and mul,
-and ranks by reducing columns with field add, mul, neg and inv.
+shortcut: it assigns a value only if the entry of X^2 it completes is zero
+by field add and mul, read from a table of roots built once per field, so
+every counted X is fully checked; the corner X[0][n-1], in no entry of X^2,
+counts q times.  It ranks by reducing columns with add, mul, neg and inv.
 
 Only strictly upper-triangular matrices are enumerated.  That loses
 nothing: for a triangular X the diagonal of X^2 consists of the squares of
@@ -16,6 +18,7 @@ diagonal and the two counts coincide.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
 
 from .gf import FiniteField
 
@@ -30,9 +33,7 @@ class BudgetExceededError(Exception):
     """
 
     def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"enumeration budget exceeded: {required} candidates > budget {budget}"
-        )
+        super().__init__(f"enumeration budget exceeded: {required} candidates > budget {budget}")
         self.required = required
         self.budget = budget
 
@@ -57,6 +58,12 @@ def _fill_order(n: int) -> tuple:
         for j in range(n)
         for i in range(j - 1, -1, -1)
     )
+
+
+def _roots(field: FiniteField) -> tuple:
+    """roots[a][s]: every x, in ascending order, with add[s][mul[a][x]] == 0."""
+    add, mul, r = field.add, field.mul, range(field.q)
+    return tuple(tuple(tuple(x for x in r if not add[s][mul[a][x]]) for s in r) for a in r)
 
 
 def _reduce(column: list[int], basis, field: FiniteField) -> list[int]:
@@ -85,68 +92,56 @@ def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
     return basis
 
 
-def _solutions(n: int, field: FiniteField, ranked: bool = False):
-    """Yield every square-zero X as its row-major entry list, by a depth-first
-    search that fills X column by column, each column from the bottom up.
+def _corner_ranks(entries: list[int], basis, column, field: FiniteField):
+    """Yield the rank of X for each corner value 0..q-1: column n-1 (indices
+    top row first, so the corner first) reduced against columns 0..n-2."""
+    last = [entries[k] for k in column]
+    for c in range(field.q):
+        last[0] = c
+        yield len(basis) + any(_reduce(last[:], basis, field))
 
-    Assigning X[i][j] with i > 0 completes (X^2)[i-1][j] = X[i-1][i]*X[i][j]
-    + s, where s, the sum over i < t < j of X[i-1][t]*X[t][j], reads only
-    entries filled earlier.  So s is summed once, when the search enters
-    (i, j), and kept per depth until it backtracks; each value x tried there
-    is then checked in full as add[s][mul[X[i-1][i]][x]], read from the
-    field's tables, and a nonzero entry prunes the subtree.  Each entry of
-    X^2 with j >= i+2 is checked exactly once on the path to a leaf, so
-    every yielded X is fully checked.  The yielded list is reused.
 
-    With ``ranked``, each leaf is yielded as (entries, rank of X), the rank
-    kept as a column echelon basis along the search, one slot per column:
-    once the position completing column j is assigned and survives its
-    check, the column is reduced against basis[j-1] into basis[j], and
-    backtracking just overwrites the slot.  A leaf reduces only its last
-    column.  Without ``ranked`` the search does no rank work.
+def _search(n: int, field: FiniteField, visit, ranked: bool = False) -> None:
+    """Call visit(entries, basis) on each checked prefix: a square-zero X
+    but for its corner X[0][n-1], as the reused row-major list ``entries``.
+    The search is depth first and fills X column by column, each column
+    from the bottom up.  Assigning X[i][j], i > 0, completes
+    (X^2)[i-1][j] = X[i-1][i]*x + s, with s summed on entering (i, j) from
+    entries filled earlier; only the x in roots[X[i-1][i]][s] are assigned,
+    so each entry of X^2 with j >= i+2 is checked, once, on the way to a
+    prefix.  The corner is in no entry of X^2 (row n-1 and column 0 of X
+    are zero), so each of its q values completes a prefix to a solution.
+
+    With ``ranked``, ``basis`` is the echelon basis of columns 0..n-2, kept
+    one slot per column: the position completing column j reduces it
+    against basis[j-1] into basis[j].  Without it, no rank work is done.
     """
     order = _fill_order(n)
     entries = [0] * len(order)
-    if not order:
-        yield (entries, 0) if ranked else entries
-        return
-    add, mul, values = field.add, field.mul, range(field.q)
-    last = len(order) - 1
     basis = [()] * n  # basis[j]: echelon basis of columns 0..j
-    tries = [iter(values)]
-    fixed = [None]  # per depth: (add[s], mul[X[i-1][i]]), None at i = 0
-    while tries:
-        depth = len(tries) - 1
-        pos, _, done = order[depth]
-        check = fixed[depth]
+    add, mul, values, roots = field.add, field.mul, range(field.q), _roots(field)
+    corner = len(order) - 1
+
+    def fill(depth: int) -> None:
+        if depth >= corner:
+            visit(entries, basis[n - 2])
+            return
+        pos, check, done = order[depth]
+        choices = values
         if check:
-            plus_s, times_a = check
-        for x in tries[depth]:
+            a, pairs = check
+            s = 0
+            for u, v in pairs:
+                s = add[s][mul[entries[u]][entries[v]]]
+            choices = roots[entries[a]][s]
+        for x in choices:
             entries[pos] = x
-            if depth == last:
-                if ranked:
-                    j, column = done
-                    left = _reduce([entries[k] for k in column], basis[j - 1], field)
-                    yield entries, len(basis[j - 1]) + any(left)
-                else:
-                    yield entries
-            elif not (check and plus_s[times_a[x]]):
-                if ranked and done:
-                    j, column = done
-                    basis[j] = _extend(basis[j - 1], [entries[k] for k in column], field)
-                tries.append(iter(values))
-                entering = order[depth + 1][1]
-                if entering:
-                    a, pairs = entering
-                    s = 0
-                    for u, v in pairs:
-                        s = add[s][mul[entries[u]][entries[v]]]
-                    entering = add[s], mul[entries[a]]
-                fixed.append(entering)
-                break
-        else:
-            tries.pop()
-            fixed.pop()
+            if ranked and done:
+                j, column = done
+                basis[j] = _extend(basis[j - 1], [entries[k] for k in column], field)
+            fill(depth + 1)
+
+    fill(0)
 
 
 def _enumerate(n: int, q: int, budget: int, by_rank: bool):
@@ -156,18 +151,23 @@ def _enumerate(n: int, q: int, budget: int, by_rank: bool):
     required = q ** (n * (n - 1) // 2)
     if required > budget:
         raise BudgetExceededError(required, budget)
-    solutions = _solutions(n, field, ranked=by_rank)
+    if n == 1:  # no corner: the one 1 x 1 matrix is zero
+        return Counter({0: 1}) if by_rank else 1
     if not by_rank:
-        return sum(1 for _ in solutions)
-    return Counter(rank for _, rank in solutions)
+        prefixes = count()  # after k visits, next() gives k
+        _search(n, field, lambda entries, basis: next(prefixes))
+        return q * next(prefixes)  # each prefix with each of the corner's q values
+    ranks, column = Counter(), _fill_order(n)[-1][2][1]
+    _search(n, field, lambda e, b: ranks.update(_corner_ranks(e, b, column, field)), True)
+    return ranks
 
 
-def count_square_zero(
-    n: int, q: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> int:
+def count_square_zero(n: int, q: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
     """Exact number of n x n strictly upper-triangular matrices over GF(q)
-    whose square is zero, by a pruned search that fully checks each one it
-    counts; the budget bounds all q^(n(n-1)/2) candidates.
+    whose square is zero, by a search that assigns only values that zero
+    the entry of X^2 they complete, so each counted X is fully checked with
+    field add and mul; each checked prefix counts once per value of the
+    free corner.  The budget bounds all q^(n(n-1)/2) candidates.
 
     The search always runs in the calling process.  ``workers`` is accepted
     and ignored, only because the benchmark still passes it."""
@@ -182,8 +182,8 @@ def count_by_rank(
 
     The rank is kept as a column echelon basis along the same search that
     count_square_zero runs: each column is reduced once, when it is
-    complete, so a leaf costs one reduction of its last column.  Counting
-    alone does no rank work.  ``workers`` is ignored, as in
-    count_square_zero."""
+    complete, and each of the q corner values of a checked prefix costs one
+    reduction of the last column.  Counting alone does no rank work.
+    ``workers`` is ignored, as in count_square_zero."""
     ranks = _enumerate(n, q, budget, by_rank=True)
     return dict(sorted(ranks.items()))

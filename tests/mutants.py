@@ -97,31 +97,31 @@ MUTANTS = [
         ("test_qbinom.py",),
     ),
     Mutant(
-        "oracle: prune test misses a sum of 1",
+        "oracle: root table admits x where the check reads 1",
         "oracle.py",
-        "elif not (check and plus_s[times_a[x]]):",
-        "elif not (check and plus_s[times_a[x]] > 1):",
+        "if not add[s][mul[a][x]]",
+        "if add[s][mul[a][x]] < 2",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: root table built without the mul[a][x] term",
+        "oracle.py",
+        "if not add[s][mul[a][x]]",
+        "if not add[s][0]",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: corner counted q - 1 times",
+        "oracle.py",
+        "return q * next(prefixes)",
+        "return (q - 1) * next(prefixes)",
         ("test_oracle.py",),
     ),
     Mutant(
         "oracle: rank step counts all(left)",
         "oracle.py",
-        "yield entries, len(basis[j - 1]) + any(left)",
-        "yield entries, len(basis[j - 1]) + all(left)",
-        ("test_oracle.py",),
-    ),
-    Mutant(
-        "oracle: X[i-1][i]*x term dropped",
-        "oracle.py",
-        "elif not (check and plus_s[times_a[x]]):",
-        "elif not (check and plus_s[0]):",
-        ("test_oracle.py",),
-    ),
-    Mutant(
-        "oracle: fixed.pop() skipped",
-        "oracle.py",
-        "            tries.pop()\n            fixed.pop()\n",
-        "            tries.pop()\n",
+        "yield len(basis) + any(",
+        "yield len(basis) + all(",
         ("test_oracle.py",),
     ),
     Mutant(

@@ -89,9 +89,13 @@ def test_criterion_6_oracle_agreement():
             counted = count_square_zero(n, q)
             predicted = closed_form(n).eval_at(q)
             assert counted == predicted, f"(n={n}, q={q}): {counted} != {predicted}"
-        # 2^28 = 268M candidates, past the default budget; about 0.7 s on 2 vCPU.
-        counted = count_square_zero(8, 2, budget=10**9)
-        assert counted == closed_form(8).eval_at(2) == 618_496, f"(n=8, q=2): {counted}"
+        # Past the default budget: 2^28 = 268M, 4^15 = 1.07G and 7^10 = 282M
+        # candidates, about 0.4, 0.2 and 0.03 s on 2 vCPU.
+        for n, q, budget in [(8, 2, 10**9), (6, 4, 2 * 10**9), (5, 7, 10**9)]:
+            counted = count_square_zero(n, q, budget=budget)
+            predicted = closed_form(n).eval_at(q)
+            assert counted == predicted, f"(n={n}, q={q}): {counted} != {predicted}"
+        assert closed_form(8).eval_at(2) == 618_496  # the (8, 2) count, frozen
 
 
 def test_criterion_7_degree_and_leading_coefficient_laws():
@@ -171,6 +175,6 @@ def test_criterion_9_rank_refinement():
             for n in range(1, n_hi + 1):
                 expected = {r: constant_term_entry(n, r).eval_at(q) for r in range(n // 2 + 1)}
                 assert count_by_rank(n, q) == expected, f"(n={n}, q={q})"
-        for n, q in [(7, 2), (6, 3), (4, 7), (4, 8), (4, 9)]:
+        for n, q in [(7, 2), (6, 3), (4, 7), (4, 8), (4, 9), (5, 5), (4, 16)]:
             expected = {r: constant_term_entry(n, r).eval_at(q) for r in range(n // 2 + 1)}
             assert count_by_rank(n, q) == expected, f"(n={n}, q={q})"

@@ -98,6 +98,9 @@ def _cases():
             ["oracle", "--n", "5", "--q", "4", "--workers", "1", "--by-rank"],
             None,
         ),
+        # larger points, as a user runs them
+        ("oracle_6_3_by_rank_text", ["oracle", "--n", "6", "--q", "3", "--by-rank"], None),
+        ("oracle_5_5_text", ["oracle", "--n", "5", "--q", "5"], None),
     ]
     for fmt in ("csv", "json"):
         argv = ["table", "--n-max", "30", "--q-list", "9,16", "--format", fmt]

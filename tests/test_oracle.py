@@ -24,7 +24,10 @@ from sqzero.counting import closed_form
 from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
     BudgetExceededError,
-    _solutions,
+    _corner_ranks,
+    _fill_order,
+    _roots,
+    _search,
     count_by_rank,
     count_square_zero,
 )
@@ -105,6 +108,26 @@ def _rank_of_rows(rows: list[list[int]], field: FiniteField) -> int:
 
 def matrix_rank(mat: StrictUpperMatrix, field: FiniteField) -> int:
     return _rank_of_rows(mat.rows(), field)
+
+
+def search_leaves(n: int, field, ranked: bool = False) -> list:
+    """Every square-zero X the search finds, in its order, as its entry tuple
+    (with its rank, if ``ranked``): the visitor expands each checked prefix
+    into its q corner values, ranked by the oracle's own corner rank step."""
+    found = []
+    if n == 1:  # no corner: the one prefix is the one leaf
+        _search(n, field, lambda entries, basis: found.append(((), 0) if ranked else ()), ranked)
+        return found
+    corner, _, (_, column) = _fill_order(n)[-1]
+
+    def visit(entries, basis):
+        ranks = list(_corner_ranks(entries, basis, column, field)) if ranked else None
+        for c in range(field.q):
+            entries[corner] = c
+            found.append((tuple(entries), ranks[c]) if ranked else tuple(entries))
+
+    _search(n, field, visit, ranked)
+    return found
 
 
 class TestSquareIsZero:
@@ -215,7 +238,7 @@ DIFFERENTIAL_GRID = [
 class TestAgainstOdometer:
     @pytest.mark.parametrize("n,q", DIFFERENTIAL_GRID, ids=lambda v: str(v))
     def test_same_solution_matrices(self, n, q):
-        found = [tuple(entries) for entries in _solutions(n, FiniteField(q))]
+        found = search_leaves(n, FiniteField(q))
         assert len(found) == len(set(found)), "a matrix was counted twice"
         assert set(found) == odometer_solutions(n, q)
 
@@ -323,12 +346,11 @@ class TestAgainstPreviousKernel:
     @pytest.mark.parametrize("n,q", PREVIOUS_GRID, ids=lambda v: str(v))
     def test_same_leaves_in_the_same_order(self, n, q, ranked):
         field = FiniteField(q)
-
-        def leaves(search):
-            for leaf in search(n, field, ranked):
-                yield (tuple(leaf[0]), leaf[1]) if ranked else tuple(leaf)
-
-        pairs = itertools.zip_longest(leaves(_solutions), leaves(previous_solutions))
+        previous = (
+            (tuple(leaf[0]), leaf[1]) if ranked else tuple(leaf)
+            for leaf in previous_solutions(n, field, ranked)
+        )
+        pairs = itertools.zip_longest(search_leaves(n, field, ranked), previous)
         for k, (new, old) in enumerate(pairs):
             assert new == old, f"leaf {k}"
 
@@ -340,8 +362,7 @@ class TestPublicInterface:
     def test_a_proxy_of_the_public_names_gives_the_same_leaves(self, n, q):
         f = FiniteField(q)
         proxy = types.SimpleNamespace(q=f.q, add=f.add, mul=f.mul, neg=f.neg, inv=f.inv)
-        real = ((tuple(entries), rank) for entries, rank in _solutions(n, f, ranked=True))
-        seen = ((tuple(entries), rank) for entries, rank in _solutions(n, proxy, ranked=True))
+        real, seen = search_leaves(n, f, ranked=True), search_leaves(n, proxy, ranked=True)
         for k, (old, new) in enumerate(itertools.zip_longest(real, seen)):
             assert new == old, f"leaf {k}"
 
@@ -353,8 +374,62 @@ class TestTrackedRank:
     @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2)], ids=lambda v: str(v))
     def test_every_leaf_rank_equals_matrix_rank(self, n, q):
         field = FiniteField(q)
-        for entries, rank in _solutions(n, field, ranked=True):
-            assert rank == matrix_rank(StrictUpperMatrix(n, tuple(entries)), field), entries
+        for entries, rank in search_leaves(n, field, ranked=True):
+            assert rank == matrix_rank(StrictUpperMatrix(n, entries), field), entries
+
+
+class TestRoots:
+    """The root table the search assigns from, once per field."""
+
+    @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+    def test_equals_a_brute_force_check(self, q):
+        f = FiniteField(q)
+        expected = [
+            [[x for x in range(q) if f.add[s][f.mul[a][x]] == 0] for s in range(q)]
+            for a in range(q)
+        ]
+        assert [[list(xs) for xs in row] for row in _roots(f)] == expected
+
+    @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+    def test_shape_law(self, q):
+        f = FiniteField(q)
+        roots = _roots(f)
+        for s in range(q):
+            assert roots[0][s] == (tuple(range(q)) if s == 0 else ())
+            for a in range(1, q):
+                assert roots[a][s] == (f.mul[f.neg[s]][f.inv(a)],)
+
+
+class TestFillOrder:
+    """Counting the corner q at a time rests on its being in no check."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_the_corner_alone_is_in_no_check(self, n):
+        order = _fill_order(n)
+        checked = set()
+        for pos, check, _ in order:
+            if check:
+                a, pairs = check
+                checked |= {pos, a, *itertools.chain.from_iterable(pairs)}
+        if n == 1:
+            assert order == () and checked == set()
+            return
+        corner = order[-1][0]
+        assert corner == n - 2  # (0, n-1) in row-major order
+        assert corner not in checked
+        if n >= 3:
+            assert checked == set(range(len(order))) - {corner}
+
+
+class TestEdgeCases:
+    """n = 1 has no corner; at n = 2 the corner is the only entry."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 16])
+    def test_counts_and_ranks(self, q):
+        assert count_square_zero(1, q) == 1
+        assert count_by_rank(1, q) == {0: 1}
+        assert count_square_zero(2, q) == q
+        assert count_by_rank(2, q) == {0: 1, 1: q - 1}
 
 
 class TestIndependence:
