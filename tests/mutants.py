@@ -118,10 +118,24 @@ MUTANTS = [
         ("test_oracle.py",),
     ),
     Mutant(
-        "oracle: rank step counts all(left)",
+        "oracle: wide built without the unit column",
         "oracle.py",
-        "yield len(basis) + any(",
-        "yield len(basis) + all(",
+        "unit = [1] + [0] * (n - 2)",
+        "unit = [0] * (n - 1)",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: wide not rebuilt when column n-2 completes",
+        "oracle.py",
+        "if j == n - 2:",
+        "if j == n - 1:",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: one-in-span branch swapped",
+        "oracle.py",
+        "        ranks[rank] += 1\n        ranks[rank + 1] += field.q - 1\n",
+        "        ranks[rank] += field.q - 1\n        ranks[rank + 1] += 1\n",
         ("test_oracle.py",),
     ),
     Mutant(

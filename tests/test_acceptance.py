@@ -178,3 +178,7 @@ def test_criterion_9_rank_refinement():
         for n, q in [(7, 2), (6, 3), (4, 7), (4, 8), (4, 9), (5, 5), (4, 16)]:
             expected = {r: constant_term_entry(n, r).eval_at(q) for r in range(n // 2 + 1)}
             assert count_by_rank(n, q) == expected, f"(n={n}, q={q})"
+        # criterion 6's points past the default budget
+        for n, q, budget in [(5, 7, 10**9), (6, 4, 2 * 10**9)]:
+            expected = {r: constant_term_entry(n, r).eval_at(q) for r in range(n // 2 + 1)}
+            assert count_by_rank(n, q, budget=budget) == expected, f"(n={n}, q={q})"

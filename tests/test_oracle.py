@@ -4,20 +4,23 @@ The oracle's references live here, not in the package: a matrix type,
 X^2 = 0 from field add and mul in row-major order, and the rank by
 Gaussian elimination.  None of them uses the search's fill order or its
 incremental checks, so they stay independent of the code they check.  The
-search as it stood before its checks read the field's tables directly is
-kept here too, so the rewritten one can be held to the same leaves in the
-same order.
+search as it stood before its checks read the field's tables directly, and
+the corner rank step as it stood before one reduction ranked all q corner
+values, are kept here too, so the rewritten kernels can be held to the same
+leaves in the same order.
 """
 
 import itertools
 import sys
 import types
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sqzero
 from sqzero.counting import closed_form
@@ -25,6 +28,7 @@ from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
     BudgetExceededError,
     _corner_ranks,
+    _extend,
     _fill_order,
     _roots,
     _search,
@@ -113,15 +117,16 @@ def matrix_rank(mat: StrictUpperMatrix, field: FiniteField) -> int:
 def search_leaves(n: int, field, ranked: bool = False) -> list:
     """Every square-zero X the search finds, in its order, as its entry tuple
     (with its rank, if ``ranked``): the visitor expands each checked prefix
-    into its q corner values, ranked by the oracle's own corner rank step."""
+    into its q corner values, each ranked by one reduction of the last
+    column against the basis the search carries (previous_corner_ranks)."""
     found = []
     if n == 1:  # no corner: the one prefix is the one leaf
-        _search(n, field, lambda entries, basis: found.append(((), 0) if ranked else ()), ranked)
+        _search(n, field, lambda *prefix: found.append(((), 0) if ranked else ()), ranked)
         return found
     corner, _, (_, column) = _fill_order(n)[-1]
 
-    def visit(entries, basis):
-        ranks = list(_corner_ranks(entries, basis, column, field)) if ranked else None
+    def visit(entries, basis, wide):
+        ranks = list(previous_corner_ranks(entries, basis, column, field)) if ranked else None
         for c in range(field.q):
             entries[corner] = c
             found.append((tuple(entries), ranks[c]) if ranked else tuple(entries))
@@ -307,6 +312,15 @@ def previous_extend(basis: tuple, column: list[int], field: FiniteField) -> tupl
     return basis
 
 
+def previous_corner_ranks(entries: list[int], basis, column, field: FiniteField):
+    """Yield the rank of X for each corner value 0..q-1: column n-1 (indices
+    top row first, so the corner first) reduced against columns 0..n-2."""
+    last = [entries[k] for k in column]
+    for c in range(field.q):
+        last[0] = c
+        yield len(basis) + any(previous_reduce(last[:], basis, field))
+
+
 def previous_solutions(n: int, field: FiniteField, ranked: bool = False):
     order = previous_fill_order(n)
     entries = [0] * len(order)
@@ -355,16 +369,86 @@ class TestAgainstPreviousKernel:
             assert new == old, f"leaf {k}"
 
 
+CORNER_GRID = sorted(set(PREVIOUS_GRID) - {(1, q) for q in SUPPORTED_ORDERS} | {(5, 5), (4, 16)})
+
+
+@lru_cache(maxsize=None)
+def corner_rule_branches(n: int, q: int) -> frozenset:
+    """Check the one-reduction corner rule against the q per-corner ranks at
+    every checked prefix of (n, q), and return the branches taken, named by
+    how many corner values keep the rank of columns 0..n-2: "none" (v
+    outside span(wide)), "all" (e in span(basis)) or "one" (the rest)."""
+    field, column = FiniteField(q), _fill_order(n)[-1][2][1]
+    seen = set()
+
+    def visit(entries, basis, wide):
+        new, per_corner = Counter(), Counter(previous_corner_ranks(entries, basis, column, field))
+        _corner_ranks(new, column, field, entries, basis, wide)
+        assert new == per_corner, entries
+        kept = per_corner[len(basis)]
+        seen.add("none" if kept == 0 else "all" if kept == q else "one")
+
+    _search(n, field, visit, ranked=True)
+    return frozenset(seen)
+
+
+class TestCornerRule:
+    """One reduction against ``wide`` ranks the q corner values of each
+    prefix as the q per-corner reductions it replaced do."""
+
+    @pytest.mark.parametrize("n,q", CORNER_GRID, ids=lambda v: str(v))
+    def test_equals_the_per_corner_ranks_at_every_prefix(self, n, q):
+        assert corner_rule_branches(n, q)  # it asserts at each prefix
+
+    def test_all_three_branches_occur(self):
+        seen = set().union(*(corner_rule_branches(n, q) for n, q in CORNER_GRID))
+        assert seen == {"none", "one", "all"}
+
+    @given(st.data())
+    def test_equals_the_per_corner_ranks_on_random_columns(self, data):
+        q = data.draw(st.sampled_from(SUPPORTED_ORDERS), label="q")
+        rows = data.draw(st.integers(1, 6), label="rows")  # n - 1
+        field, elements = FiniteField(q), st.integers(0, q - 1)
+        vectors = st.lists(elements, min_size=rows, max_size=rows)
+        columns = data.draw(st.lists(vectors, max_size=rows), label="columns")
+        if data.draw(st.booleans(), label="e in span"):
+            columns.insert(data.draw(st.integers(0, len(columns))), [1] + [0] * (rows - 1))
+        basis = ()
+        for c in columns:
+            basis = _extend(basis, c[:], field)
+        if data.draw(st.booleans(), label="v in span"):
+            last = [0] * rows
+            for c in columns:
+                times = field.mul[data.draw(elements)]
+                last = [field.add[x][times[y]] for x, y in zip(last, c)]
+        else:
+            last = data.draw(vectors, label="v")
+        wide = _extend(basis, [1] + [0] * (rows - 1), field)
+        new, column = Counter(), tuple(range(rows))
+        _corner_ranks(new, column, field, last, basis, wide)
+        assert new == Counter(previous_corner_ranks(last, basis, column, field))
+
+
+def public_names(f: FiniteField):
+    return types.SimpleNamespace(q=f.q, add=f.add, mul=f.mul, neg=f.neg, inv=f.inv)
+
+
 class TestPublicInterface:
-    """The search reads a field only through q, add, mul, neg and inv."""
+    """The search and its rank steps read a field only through q, add, mul,
+    neg and inv."""
 
     @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2), (5, 3)], ids=lambda v: str(v))
     def test_a_proxy_of_the_public_names_gives_the_same_leaves(self, n, q):
         f = FiniteField(q)
-        proxy = types.SimpleNamespace(q=f.q, add=f.add, mul=f.mul, neg=f.neg, inv=f.inv)
-        real, seen = search_leaves(n, f, ranked=True), search_leaves(n, proxy, ranked=True)
+        real, seen = search_leaves(n, f, ranked=True), search_leaves(n, public_names(f), ranked=True)
         for k, (old, new) in enumerate(itertools.zip_longest(real, seen)):
             assert new == old, f"leaf {k}"
+
+    @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2), (5, 3)], ids=lambda v: str(v))
+    def test_a_proxy_of_the_public_names_gives_the_same_rank_counts(self, n, q):
+        proxy, ranks, column = public_names(FiniteField(q)), Counter(), _fill_order(n)[-1][2][1]
+        _search(n, proxy, partial(_corner_ranks, ranks, column, proxy), ranked=True)
+        assert dict(sorted(ranks.items())) == count_by_rank(n, q)
 
 
 class TestTrackedRank:
