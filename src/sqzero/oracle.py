@@ -77,26 +77,31 @@ def _reduce(column: list[int], basis, field: FiniteField) -> list[int]:
 
 
 def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
-    """The echelon basis of span(basis, column)."""
+    """The echelon basis of span(basis, column), the new vector pivoted at
+    the last nonzero row of the reduced column.  So the pivots >= i of the
+    basis of columns 0..j count the rank of rows i.., columns 0..j."""
     column = _reduce(column, basis, field)
-    for p, x in enumerate(column):
-        if x:
-            times = field.mul[field.inv(x)]
-            vector = tuple((i, times[y]) for i, y in enumerate(column) if y)
-            return basis + ((p, vector),)
+    for p in reversed(range(len(column))):
+        if column[p]:
+            times = field.mul[field.inv(column[p])]
+            return basis + ((p, tuple((i, times[y]) for i, y in enumerate(column) if y)),)
     return basis
 
 
-def _corner_ranks(ranks: Counter, column, field: FiniteField, entries, basis, wide) -> None:
+def _corner_ranks(ranks: Counter, column, field: FiniteField, entries, basis) -> None:
     """Add to ``ranks`` the rank of X at each of its q corner values c.
-    Column n-1 (indices top row first) runs through v + c*e, e the corner's
-    unit column, so one reduction of v against ``wide`` decides: outside
-    span(wide), each c adds 1 to len(basis); else, with e in span(basis),
+    Column n-1 (indices top row first) is v + c*e, e the corner's unit
+    column.  Each vector's pivot is its last nonzero row, so one pivoted at
+    row 0 is e: e is in span(basis) iff in ``basis``, and the reductions of
+    v + c*e and of v differ in row 0 alone.  So with row 0 cleared, if any
+    of v is left, each c adds 1 to len(basis); else, with e in ``basis``,
     none does; else all but one c do."""
     rank = len(basis)
-    if any(_reduce([entries[k] for k in column], wide, field)):
+    left = _reduce([entries[k] for k in column], basis, field)
+    left[0] = 0
+    if any(left):
         ranks[rank + 1] += field.q
-    elif len(wide) == rank:
+    elif (0, ((0, 1),)) in basis:
         ranks[rank] += field.q
     else:
         ranks[rank] += 1
@@ -104,29 +109,25 @@ def _corner_ranks(ranks: Counter, column, field: FiniteField, entries, basis, wi
 
 
 def _search(n: int, field: FiniteField, visit, ranked: bool = False) -> None:
-    """Call visit(entries, basis, wide) on each checked prefix: a square-zero
-    X but for its corner X[0][n-1], as the reused row-major list ``entries``.
-    Depth first, X is filled column by column, each from the bottom up.
-    Assigning X[i][j], i > 0, completes (X^2)[i-1][j] = X[i-1][i]*x + s, s
-    summed on entering (i, j), so only the x in roots[X[i-1][i]][s] are
-    tried and each entry of X^2 with j >= i+2 is checked once on the way.
-    The corner is in no entry of X^2, so its q values each complete a prefix.
-    With ``ranked``, basis[j], the echelon basis of columns 0..j, is built
-    from basis[j-1] when column j completes; the unused slot basis[n-1]
-    holds ``wide``, basis[n-2] and the corner's unit column.  Without
-    ``ranked``, no rank work is done."""
+    """For n >= 2, call visit(entries, basis) on each checked prefix: a
+    square-zero X but for its corner X[0][n-1], as the reused row-major list
+    ``entries``, and basis[n-2].  Depth first, X is filled column by column,
+    each from the bottom up.  Assigning X[i][j], i > 0, completes
+    (X^2)[i-1][j] = X[i-1][i]*x + s, s summed on entering (i, j), so only the
+    x in roots[X[i-1][i]][s] are tried and each entry of X^2 with j >= i+2
+    is checked once on the way.  The corner is in no entry of X^2, so its q
+    values each complete a prefix.  With ``ranked``, basis[j], the echelon
+    basis of columns 0..j, is built from basis[j-1] when column j completes;
+    else no rank work is done."""
     order = _fill_order(n)
     entries = [0] * len(order)
-    basis = [()] * n  # basis[j]: echelon basis of columns 0..j
-    unit = [1] + [0] * (n - 2)  # the corner's unit column, top row first
-    if ranked and n > 1:
-        basis[n - 1] = _extend((), unit[:], field)
+    basis = [()] * (n - 1)
     add, mul, values, roots = field.add, field.mul, range(field.q), _roots(field)
     corner = len(order) - 1
 
     def fill(depth: int) -> None:
         if depth >= corner:
-            visit(entries, basis[n - 2], basis[n - 1])
+            visit(entries, basis[n - 2])
             return
         pos, check, done = order[depth]
         choices = values
@@ -141,8 +142,6 @@ def _search(n: int, field: FiniteField, visit, ranked: bool = False) -> None:
             if ranked and done:
                 j, column = done
                 basis[j] = _extend(basis[j - 1], [entries[k] for k in column], field)
-                if j == n - 2:
-                    basis[j + 1] = _extend(basis[j], unit[:], field)
             fill(depth + 1)
 
     fill(0)
@@ -159,7 +158,7 @@ def _enumerate(n: int, q: int, budget: int, by_rank: bool):
         return Counter({0: 1}) if by_rank else 1
     if not by_rank:
         prefixes = count()  # after k visits, next() gives k
-        _search(n, field, lambda entries, basis, wide: next(prefixes))
+        _search(n, field, lambda entries, basis: next(prefixes))
         return q * next(prefixes)  # each prefix with each of the corner's q values
     ranks, column = Counter(), _fill_order(n)[-1][2][1]
     _search(n, field, partial(_corner_ranks, ranks, column, field), True)
@@ -179,9 +178,9 @@ def count_by_rank(
     n: int, q: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> dict[int, int]:
     """Square-zero count by matrix rank; only ranks that occur appear, and
-    the values sum to count_square_zero(n, q).  A column echelon basis is
-    kept along the same search, each column reduced once when complete, and
-    one reduction of the last column ranks all q corner values of a checked
-    prefix.  ``workers`` is ignored, as in count_square_zero."""
+    the values sum to count_square_zero(n, q).  The search keeps a column
+    echelon basis, each column reduced once when complete, and one reduction
+    of the last column against it ranks a prefix's q corner values.
+    ``workers`` is ignored, as in count_square_zero."""
     ranks = _enumerate(n, q, budget, by_rank=True)
     return dict(sorted(ranks.items()))

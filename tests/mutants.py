@@ -118,17 +118,24 @@ MUTANTS = [
         ("test_oracle.py",),
     ),
     Mutant(
-        "oracle: wide built without the unit column",
+        "oracle: pivot at the first nonzero row",
         "oracle.py",
-        "unit = [1] + [0] * (n - 2)",
-        "unit = [0] * (n - 1)",
+        "for p in reversed(range(len(column))):",
+        "for p in range(len(column)):",
         ("test_oracle.py",),
     ),
     Mutant(
-        "oracle: wide not rebuilt when column n-2 completes",
+        "oracle: corner row left in the residue",
         "oracle.py",
-        "if j == n - 2:",
-        "if j == n - 1:",
+        "    left[0] = 0\n",
+        "",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: unit-column membership test replaced by False",
+        "oracle.py",
+        "elif (0, ((0, 1),)) in basis:",
+        "elif False:",
         ("test_oracle.py",),
     ),
     Mutant(

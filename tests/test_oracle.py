@@ -6,8 +6,9 @@ Gaussian elimination.  None of them uses the search's fill order or its
 incremental checks, so they stay independent of the code they check.  The
 search as it stood before its checks read the field's tables directly, and
 the corner rank step as it stood before one reduction ranked all q corner
-values, are kept here too, so the rewritten kernels can be held to the same
-leaves in the same order.
+values, and the one-reduction rule as it stood before the basis was pivoted
+at each vector's last nonzero row, are kept here too, so the rewritten
+kernels can be held to the same leaves in the same order.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from sqzero.oracle import (
     _corner_ranks,
     _extend,
     _fill_order,
+    _reduce,
     _roots,
     _search,
     count_by_rank,
@@ -119,13 +121,12 @@ def search_leaves(n: int, field, ranked: bool = False) -> list:
     (with its rank, if ``ranked``): the visitor expands each checked prefix
     into its q corner values, each ranked by one reduction of the last
     column against the basis the search carries (previous_corner_ranks)."""
+    if n == 1:  # no corner and no search: the one 1 x 1 matrix is zero
+        return [((), 0) if ranked else ()]
     found = []
-    if n == 1:  # no corner: the one prefix is the one leaf
-        _search(n, field, lambda *prefix: found.append(((), 0) if ranked else ()), ranked)
-        return found
     corner, _, (_, column) = _fill_order(n)[-1]
 
-    def visit(entries, basis, wide):
+    def visit(entries, basis):
         ranks = list(previous_corner_ranks(entries, basis, column, field)) if ranked else None
         for c in range(field.q):
             entries[corner] = c
@@ -312,6 +313,19 @@ def previous_extend(basis: tuple, column: list[int], field: FiniteField) -> tupl
     return basis
 
 
+def previous_wide_corner_ranks(ranks: Counter, column, field, entries, basis, wide) -> None:
+    """The one-reduction rule, against ``wide``: the basis of columns
+    0..n-2 extended by the corner's unit column e."""
+    rank = len(basis)
+    if any(previous_reduce([entries[k] for k in column], wide, field)):
+        ranks[rank + 1] += field.q
+    elif len(wide) == rank:
+        ranks[rank] += field.q
+    else:
+        ranks[rank] += 1
+        ranks[rank + 1] += field.q - 1
+
+
 def previous_corner_ranks(entries: list[int], basis, column, field: FiniteField):
     """Yield the rank of X for each corner value 0..q-1: column n-1 (indices
     top row first, so the corner first) reduced against columns 0..n-2."""
@@ -374,17 +388,23 @@ CORNER_GRID = sorted(set(PREVIOUS_GRID) - {(1, q) for q in SUPPORTED_ORDERS} | {
 
 @lru_cache(maxsize=None)
 def corner_rule_branches(n: int, q: int) -> frozenset:
-    """Check the one-reduction corner rule against the q per-corner ranks at
-    every checked prefix of (n, q), and return the branches taken, named by
-    how many corner values keep the rank of columns 0..n-2: "none" (v
-    outside span(wide)), "all" (e in span(basis)) or "one" (the rest)."""
+    """Check the one-reduction corner rule against the q per-corner ranks
+    and against the rule on ``wide`` at every checked prefix of (n, q), and
+    return the branches taken, named by how many corner values keep the
+    rank of columns 0..n-2: "none" (v outside span(basis, e)), "all" (e in
+    span(basis)) or "one" (the rest)."""
     field, column = FiniteField(q), _fill_order(n)[-1][2][1]
+    unit = [1] + [0] * (n - 2)
     seen = set()
 
-    def visit(entries, basis, wide):
-        new, per_corner = Counter(), Counter(previous_corner_ranks(entries, basis, column, field))
-        _corner_ranks(new, column, field, entries, basis, wide)
-        assert new == per_corner, entries
+    def visit(entries, basis):
+        new, wide = Counter(), Counter()
+        per_corner = Counter(previous_corner_ranks(entries, basis, column, field))
+        _corner_ranks(new, column, field, entries, basis)
+        previous_wide_corner_ranks(
+            wide, column, field, entries, basis, previous_extend(basis, unit[:], field)
+        )
+        assert new == per_corner == wide, entries
         kept = per_corner[len(basis)]
         seen.add("none" if kept == 0 else "all" if kept == q else "one")
 
@@ -393,8 +413,9 @@ def corner_rule_branches(n: int, q: int) -> frozenset:
 
 
 class TestCornerRule:
-    """One reduction against ``wide`` ranks the q corner values of each
-    prefix as the q per-corner reductions it replaced do."""
+    """One reduction against the basis, row 0 cleared, ranks the q corner
+    values of each prefix as the q per-corner reductions and the rule on
+    ``wide`` it replaced do."""
 
     @pytest.mark.parametrize("n,q", CORNER_GRID, ids=lambda v: str(v))
     def test_equals_the_per_corner_ranks_at_every_prefix(self, n, q):
@@ -423,10 +444,40 @@ class TestCornerRule:
                 last = [field.add[x][times[y]] for x, y in zip(last, c)]
         else:
             last = data.draw(vectors, label="v")
-        wide = _extend(basis, [1] + [0] * (rows - 1), field)
         new, column = Counter(), tuple(range(rows))
-        _corner_ranks(new, column, field, last, basis, wide)
+        _corner_ranks(new, column, field, last, basis)
         assert new == Counter(previous_corner_ranks(last, basis, column, field))
+
+
+class TestPivotConvention:
+    """Each vector _extend adds is pivoted at its last nonzero row, so the
+    pivots >= i of the basis of columns 0..j count the rank of the block of
+    rows i.., columns 0..j, on any strictly upper-triangular X."""
+
+    @given(st.data())
+    def test_pivots_count_every_south_west_block_rank(self, data):
+        q = data.draw(st.sampled_from(SUPPORTED_ORDERS), label="q")
+        n = data.draw(st.integers(1, 7), label="n")
+        field, size = FiniteField(q), n * (n - 1) // 2
+        elements = st.just(0) | st.integers(0, q - 1)
+        entries = data.draw(st.lists(elements, min_size=size, max_size=size), label="X")
+        rows = StrictUpperMatrix(n, tuple(entries)).rows()
+        columns = [[row[j] for row in rows] for j in range(n)]
+        new, old = (), ()
+        for j, column in enumerate(columns):
+            new, old = _extend(new, column[:], field), previous_extend(old, column[:], field)
+            assert len(new) == len(old)
+            for k in range(j + 1):
+                assert not any(_reduce(columns[k][:], new, field))
+                assert not any(previous_reduce(columns[k][:], old, field))
+            pivots = [p for p, _ in new]
+            for k, (p, vector) in enumerate(new):
+                values = dict(vector)
+                assert all(values.values()) and values[p] == 1 and max(values) == p
+                assert not any(values.get(earlier, 0) for earlier in pivots[:k])
+            for i in range(n + 1):
+                block = [row[: j + 1] for row in rows[i:]]
+                assert sum(p >= i for p in pivots) == _rank_of_rows(block, field), (i, j)
 
 
 def public_names(f: FiniteField):
@@ -501,6 +552,9 @@ class TestFillOrder:
         corner = order[-1][0]
         assert corner == n - 2  # (0, n-1) in row-major order
         assert corner not in checked
+        # the last column lists the corner first: the corner rule clears row 0
+        j, column = order[-1][2]
+        assert j == n - 1 and column[0] == corner
         if n >= 3:
             assert checked == set(range(len(order))) - {corner}
 
