@@ -4,9 +4,10 @@ whose square is zero, and count them totally and by rank.
 Its value as a cross-check is that it shares no machinery with the
 polynomial engines it checks, so the search takes no algebraic shortcut:
 it assigns a value only if the entry of X^2 it completes is zero by field
-add and mul, read from a table of roots built once per field.  The corner
-X[0][n-1], in no entry of X^2, counts q times, and one reduction of the
-last column ranks all q of its values.  Ranks use add, mul, neg and inv.
+add and mul, read from a table of roots built once per field.  X is kept
+in fill order, so a completed column is a slice.  The corner X[0][n-1],
+in no entry of X^2, counts q times, and one reduction of the last column
+ranks all q of its values.  Ranks use add, mul, neg and inv.
 
 Only strictly upper-triangular X are enumerated.  That loses nothing: the
 diagonal of X^2 holds the squares of X's diagonal, and in a field only 0
@@ -25,30 +26,29 @@ DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceededError(Exception):
-    """The enumeration would exceed the candidate budget.  Carries the
-    required count, so a caller can rerun with a raised budget."""
+    """The enumeration would exceed the candidate budget.  ``required``
+    builds the count, q^cells, only when asked."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration budget exceeded: {required} candidates > budget {budget}")
-        self.required = required
-        self.budget = budget
+    def __init__(self, q: int, cells: int, budget: int):
+        super().__init__(f"enumeration budget exceeded: {q}^{cells} candidates > budget {budget}")
+        self.q, self.cells, self.budget = q, cells, budget
+
+    @property
+    def required(self) -> int:
+        return self.q**self.cells
 
 
 def _fill_order(n: int) -> tuple:
-    """Every above-diagonal (i, j), column by column, each column from the
-    bottom up, as its index in the row-major entry vector; for i > 0, the
-    check that assigning it completes, (X^2)[i-1][j], as the index of
-    X[i-1][i] and the index pairs (of X[i-1][t] and X[t][j], i < t < j) of
-    its fixed part, else None; and at (0, j), the last of column j in this
-    order, what it completes: (j, column j's indices top row first)."""
-    index = {ij: k for k, ij in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+    """(check, j) per position of the fill order: column by column, each
+    from the bottom up, so (i, j) is at j(j-1)/2 + (j-1-i).  For i > 0,
+    check is (X^2)[i-1][j], which assigning (i, j) completes: the position
+    of X[i-1][i] and the position pairs of X[i-1][t] and X[t][j],
+    i < t < j, of its fixed part; else None.  j is 0 but at (0, j)."""
+    at = lambda i, j: j * (j - 1) // 2 + (j - 1 - i)
     return tuple(
         (
-            index[i, j],
-            (index[i - 1, i], tuple((index[i - 1, t], index[t, j]) for t in range(i + 1, j)))
-            if i
-            else None,
-            (j, tuple(index[t, j] for t in range(j))) if i == 0 else None,
+            (at(i - 1, i), tuple((at(i - 1, t), at(t, j)) for t in range(i + 1, j))) if i else None,
+            0 if i else j,
         )
         for j in range(n)
         for i in range(j - 1, -1, -1)
@@ -88,16 +88,16 @@ def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
     return basis
 
 
-def _corner_ranks(ranks: Counter, column, field: FiniteField, entries, basis) -> None:
+def _corner_ranks(ranks: Counter, n: int, field: FiniteField, entries, basis) -> None:
     """Add to ``ranks`` the rank of X at each of its q corner values c.
-    Column n-1 (indices top row first) is v + c*e, e the corner's unit
-    column.  Each vector's pivot is its last nonzero row, so one pivoted at
-    row 0 is e: e is in span(basis) iff in ``basis``, and the reductions of
-    v + c*e and of v differ in row 0 alone.  So with row 0 cleared, if any
-    of v is left, each c adds 1 to len(basis); else, with e in ``basis``,
-    none does; else all but one c do."""
+    Column n-1, entries[-1:-n:-1] (corner first), is v + c*e, e the
+    corner's unit column.  Each vector's pivot is its last nonzero row, so
+    one pivoted at row 0 is e: e is in span(basis) iff in ``basis``, and
+    the reductions of v + c*e and of v differ in row 0 alone.  So with row
+    0 cleared, if any of v is left, each c adds 1 to len(basis); else, with
+    e in ``basis``, none does; else all but one c do."""
     rank = len(basis)
-    left = _reduce([entries[k] for k in column], basis, field)
+    left = _reduce(entries[-1:-n:-1], basis, field)
     left[0] = 0
     if any(left):
         ranks[rank + 1] += field.q
@@ -110,15 +110,15 @@ def _corner_ranks(ranks: Counter, column, field: FiniteField, entries, basis) ->
 
 def _search(n: int, field: FiniteField, visit, ranked: bool = False) -> None:
     """For n >= 2, call visit(entries, basis) on each checked prefix: a
-    square-zero X but for its corner X[0][n-1], as the reused row-major list
-    ``entries``, and basis[n-2].  Depth first, X is filled column by column,
-    each from the bottom up.  Assigning X[i][j], i > 0, completes
-    (X^2)[i-1][j] = X[i-1][i]*x + s, s summed on entering (i, j), so only the
-    x in roots[X[i-1][i]][s] are tried and each entry of X^2 with j >= i+2
-    is checked once on the way.  The corner is in no entry of X^2, so its q
-    values each complete a prefix.  With ``ranked``, basis[j], the echelon
-    basis of columns 0..j, is built from basis[j-1] when column j completes;
-    else no rank work is done."""
+    square-zero X but for its corner X[0][n-1], as the reused list
+    ``entries`` in fill order, entries[d] set at depth d of a depth-first
+    search, and basis[n-2].  Assigning X[i][j], i > 0, completes
+    (X^2)[i-1][j] = X[i-1][i]*x + s, s summed on entering (i, j), so only
+    the x in roots[X[i-1][i]][s] are tried and each entry of X^2 with
+    j >= i+2 is checked once on the way.  The corner is in no entry of X^2,
+    so its q values each complete a prefix.  With ``ranked``, basis[j], the
+    echelon basis of columns 0..j, is built from basis[j-1] and column j's
+    slice, top row first, when (0, j) completes; else no rank work is done."""
     order = _fill_order(n)
     entries = [0] * len(order)
     basis = [()] * (n - 1)
@@ -129,7 +129,7 @@ def _search(n: int, field: FiniteField, visit, ranked: bool = False) -> None:
         if depth >= corner:
             visit(entries, basis[n - 2])
             return
-        pos, check, done = order[depth]
+        check, j = order[depth]
         choices = values
         if check:
             a, pairs = check
@@ -138,10 +138,9 @@ def _search(n: int, field: FiniteField, visit, ranked: bool = False) -> None:
                 s = add[s][mul[entries[u]][entries[v]]]
             choices = roots[entries[a]][s]
         for x in choices:
-            entries[pos] = x
-            if ranked and done:
-                j, column = done
-                basis[j] = _extend(basis[j - 1], [entries[k] for k in column], field)
+            entries[depth] = x
+            if ranked and j:
+                basis[j] = _extend(basis[j - 1], entries[depth - j + 1 : depth + 1][::-1], field)
             fill(depth + 1)
 
     fill(0)
@@ -151,17 +150,17 @@ def _enumerate(n: int, q: int, budget: int, by_rank: bool):
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     field = FiniteField(q)  # validates q before the budget check
-    required = q ** (n * (n - 1) // 2)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
+    cells = n * (n - 1) // 2
+    if q ** min(cells, budget.bit_length()) > budget:  # exact, as q >= 2
+        raise BudgetExceededError(q, cells, budget)
     if n == 1:  # no corner: the one 1 x 1 matrix is zero
         return Counter({0: 1}) if by_rank else 1
     if not by_rank:
         prefixes = count()  # after k visits, next() gives k
         _search(n, field, lambda entries, basis: next(prefixes))
         return q * next(prefixes)  # each prefix with each of the corner's q values
-    ranks, column = Counter(), _fill_order(n)[-1][2][1]
-    _search(n, field, partial(_corner_ranks, ranks, column, field), True)
+    ranks = Counter()
+    _search(n, field, partial(_corner_ranks, ranks, n, field), True)
     return ranks
 
 

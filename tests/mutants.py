@@ -148,8 +148,8 @@ MUTANTS = [
     Mutant(
         "oracle: fixed sum from t = i + 2",
         "oracle.py",
-        "index[t, j]) for t in range(i + 1, j)",
-        "index[t, j]) for t in range(i + 2, j)",
+        "at(t, j)) for t in range(i + 1, j)",
+        "at(t, j)) for t in range(i + 2, j)",
         ("test_oracle.py",),
     ),
     Mutant(
@@ -157,6 +157,41 @@ MUTANTS = [
         "oracle.py",
         "    for p, vector in basis:\n",
         "    for p, vector in basis[:0]:\n",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: completed column slice not reversed",
+        "oracle.py",
+        "entries[depth - j + 1 : depth + 1][::-1]",
+        "entries[depth - j + 1 : depth + 1]",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: completed column slice one entry too long",
+        "oracle.py",
+        "entries[depth - j + 1 : depth + 1][::-1]",
+        "entries[depth - j : depth + 1][::-1]",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: corner column read forwards",
+        "oracle.py",
+        "_reduce(entries[-1:-n:-1]",
+        "_reduce(entries[-n + 1:]",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: column 1 never extended",
+        "oracle.py",
+        "if ranked and j:",
+        "if ranked and j > 1:",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: budget compared at one power fewer",
+        "oracle.py",
+        "budget.bit_length()",
+        "budget.bit_length() - 1",
         ("test_oracle.py",),
     ),
 ]

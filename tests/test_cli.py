@@ -239,6 +239,12 @@ class TestOracle:
         assert code == 2
         assert "enumeration budget exceeded" in err
 
+    def test_oversized_run_is_refused_in_one_short_line(self, capsys):
+        code, out, err = run(capsys, "oracle", "--n", "1000", "--q", "3")
+        assert code == 2 and out == ""
+        assert err == "error: enumeration budget exceeded: 3^499500 candidates > budget 100000000\n"
+        assert len(err) < 200
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         real = counting.closed_form
         monkeypatch.setattr(

@@ -4,6 +4,8 @@ The oracle's references live here, not in the package: a matrix type,
 X^2 = 0 from field add and mul in row-major order, and the rank by
 Gaussian elimination.  None of them uses the search's fill order or its
 incremental checks, so they stay independent of the code they check.  The
+fill order the search stores X in is defined here on its own
+(fill_positions), so each leaf maps back to its row-major tuple.  The
 search as it stood before its checks read the field's tables directly, and
 the corner rank step as it stood before one reduction ranked all q corner
 values, and the one-reduction rule as it stood before the basis was pivoted
@@ -116,21 +118,36 @@ def matrix_rank(mat: StrictUpperMatrix, field: FiniteField) -> int:
     return _rank_of_rows(mat.rows(), field)
 
 
+@lru_cache(maxsize=None)
+def fill_positions(n: int) -> dict:
+    """The fill order as the tests define it, apart from the search: every
+    above-diagonal (i, j), column by column, each column from the bottom
+    up, mapped to its place in that order."""
+    return {ij: k for k, ij in enumerate((i, j) for j in range(n) for i in range(j - 1, -1, -1))}
+
+
+def last_column(n: int) -> tuple:
+    """The fill-order positions of column n-1, top row first."""
+    return tuple(fill_positions(n)[t, n - 1] for t in range(n - 1))
+
+
 def search_leaves(n: int, field, ranked: bool = False) -> list:
-    """Every square-zero X the search finds, in its order, as its entry tuple
-    (with its rank, if ``ranked``): the visitor expands each checked prefix
-    into its q corner values, each ranked by one reduction of the last
-    column against the basis the search carries (previous_corner_ranks)."""
+    """Every square-zero X the search finds, in its order, as its row-major
+    entry tuple (with its rank, if ``ranked``): the visitor expands each
+    checked prefix into its q corner values, each ranked by one reduction
+    of the last column against the basis the search carries
+    (previous_corner_ranks)."""
     if n == 1:  # no corner and no search: the one 1 x 1 matrix is zero
         return [((), 0) if ranked else ()]
-    found = []
-    corner, _, (_, column) = _fill_order(n)[-1]
+    found, place, column = [], fill_positions(n), last_column(n)
+    row_major = [place[i, j] for i in range(n) for j in range(i + 1, n)]
 
     def visit(entries, basis):
         ranks = list(previous_corner_ranks(entries, basis, column, field)) if ranked else None
         for c in range(field.q):
-            entries[corner] = c
-            found.append((tuple(entries), ranks[c]) if ranked else tuple(entries))
+            entries[place[0, n - 1]] = c
+            leaf = tuple(entries[k] for k in row_major)
+            found.append((leaf, ranks[c]) if ranked else leaf)
 
     _search(n, field, visit, ranked)
     return found
@@ -187,6 +204,12 @@ class TestBudget:
             count_square_zero(6, 9, budget=10**4)
         assert excinfo.value.required == 9**15
         assert excinfo.value.budget == 10**4
+
+    @pytest.mark.parametrize("count", [count_square_zero, count_by_rank])
+    def test_refused_without_building_the_count(self, count):
+        # 2^14365 has 4325 digits, past Python's default cap on int -> str
+        with pytest.raises(BudgetExceededError, match=r"2\^14365 candidates > budget 100000000$"):
+            count(170, 2)
 
     def test_budget_override_allows_run(self):
         assert count_square_zero(3, 2, budget=8) == 6
@@ -393,14 +416,14 @@ def corner_rule_branches(n: int, q: int) -> frozenset:
     return the branches taken, named by how many corner values keep the
     rank of columns 0..n-2: "none" (v outside span(basis, e)), "all" (e in
     span(basis)) or "one" (the rest)."""
-    field, column = FiniteField(q), _fill_order(n)[-1][2][1]
+    field, column = FiniteField(q), last_column(n)
     unit = [1] + [0] * (n - 2)
     seen = set()
 
     def visit(entries, basis):
         new, wide = Counter(), Counter()
         per_corner = Counter(previous_corner_ranks(entries, basis, column, field))
-        _corner_ranks(new, column, field, entries, basis)
+        _corner_ranks(new, n, field, entries, basis)
         previous_wide_corner_ranks(
             wide, column, field, entries, basis, previous_extend(basis, unit[:], field)
         )
@@ -444,9 +467,9 @@ class TestCornerRule:
                 last = [field.add[x][times[y]] for x, y in zip(last, c)]
         else:
             last = data.draw(vectors, label="v")
-        new, column = Counter(), tuple(range(rows))
-        _corner_ranks(new, column, field, last, basis)
-        assert new == Counter(previous_corner_ranks(last, basis, column, field))
+        new = Counter()
+        _corner_ranks(new, rows + 1, field, last[::-1], basis)  # fill order: bottom up
+        assert new == Counter(previous_corner_ranks(last, basis, range(rows), field))
 
 
 class TestPivotConvention:
@@ -497,8 +520,8 @@ class TestPublicInterface:
 
     @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2), (5, 3)], ids=lambda v: str(v))
     def test_a_proxy_of_the_public_names_gives_the_same_rank_counts(self, n, q):
-        proxy, ranks, column = public_names(FiniteField(q)), Counter(), _fill_order(n)[-1][2][1]
-        _search(n, proxy, partial(_corner_ranks, ranks, column, proxy), ranked=True)
+        proxy, ranks = public_names(FiniteField(q)), Counter()
+        _search(n, proxy, partial(_corner_ranks, ranks, n, proxy), ranked=True)
         assert dict(sorted(ranks.items())) == count_by_rank(n, q)
 
 
@@ -536,25 +559,41 @@ class TestRoots:
 
 
 class TestFillOrder:
-    """Counting the corner q at a time rests on its being in no check."""
+    """The search stores X in fill order, the entry at depth d at position
+    d; counting the corner q at a time rests on its being in no check."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_positions_follow_the_layout(self, n):
+        place = fill_positions(n)
+        assert place == {(i, j): j * (j - 1) // 2 + (j - 1 - i) for j in range(n) for i in range(j)}
+        expected = [None] * len(place)
+        for (i, j), k in place.items():
+            check = None
+            if i:
+                pairs = tuple((place[i - 1, t], place[t, j]) for t in range(i + 1, j))
+                check = (place[i - 1, i], pairs)
+            expected[k] = (check, j if i == 0 else 0)
+        assert list(_fill_order(n)) == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_j_marks_each_column_s_last_position(self, n):
+        ends = {k for k, (_, j) in enumerate(_fill_order(n)) if j}
+        assert ends == {fill_positions(n)[0, j] for j in range(1, n)}
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_the_corner_alone_is_in_no_check(self, n):
         order = _fill_order(n)
         checked = set()
-        for pos, check, _ in order:
+        for pos, (check, _) in enumerate(order):
             if check:
                 a, pairs = check
                 checked |= {pos, a, *itertools.chain.from_iterable(pairs)}
         if n == 1:
             assert order == () and checked == set()
             return
-        corner = order[-1][0]
-        assert corner == n - 2  # (0, n-1) in row-major order
+        corner = fill_positions(n)[0, n - 1]
+        assert corner == len(order) - 1
         assert corner not in checked
-        # the last column lists the corner first: the corner rule clears row 0
-        j, column = order[-1][2]
-        assert j == n - 1 and column[0] == corner
         if n >= 3:
             assert checked == set(range(len(order))) - {corner}
 
