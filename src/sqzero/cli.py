@@ -16,11 +16,12 @@ import csv
 import io
 import json
 import sys
+from itertools import islice
 
 from . import counting, oracle
 from .qpoly import InexactDivisionError, QLaurentPoly
 
-# verify builds one table of this engine and checks every other one against it.
+# verify streams this engine's rows and checks every other one against them.
 _REFERENCE = "recurrence"
 
 
@@ -65,10 +66,8 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    table = counting.recurrence_table(args.n_max)
     mismatches: list[str] = []
-    for n in range(1, args.n_max + 1):
-        entries = table[n]
+    for n, entries in zip(range(1, args.n_max + 1), islice(counting.recurrence_rows(), 1, None)):
         reference = counting.row_total(entries)
         total_issues: list[str] = []
         entry_issues: list[str] = []

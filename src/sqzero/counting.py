@@ -3,9 +3,10 @@
 Independent routes produce the same polynomials:
 
 * ``closed_form(n)`` evaluates the alternating-binomial closed form directly.
-* ``recurrence_table(n_max)`` fills the triangular table of per-index
-  polynomials from its two-term recurrence, as a plain list of rows
-  ``rows[n] == [t(n, 0), ..., t(n, n//2)]``; ``row_total`` sums a row.
+* ``recurrence_rows()`` yields the rows ``[t(n, 0), ..., t(n, n//2)]``
+  for n = 0, 1, 2, ... from their two-term recurrence, holding only the
+  row last yielded; ``recurrence_table(n_max)`` is its first n_max + 1 rows
+  as a list, ``rows[n]``; ``row_total`` sums a row.
 * ``constant_term_entry(n, r)`` rebuilds one table entry as the constant
   term (in w) of a finite Laurent product.
 * ``constant_term_total(n)`` rebuilds a whole row sum the same way, with
@@ -25,7 +26,8 @@ disagreement surfaces as structural polynomial inequality, never as drift.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Mapping
+from itertools import count, islice
+from typing import Callable, Iterator, Mapping
 
 from .qbinom import binomial, qbinomial
 from .qpoly import ONE, ZERO, QLaurentPoly, linear_combination
@@ -84,8 +86,8 @@ class WLaurent:
         return f"WLaurent({{{inner}}})"
 
 
-def recurrence_table(n_max: int) -> list[list[QLaurentPoly]]:
-    """The rows t(n, 0..n//2) for 0 <= n <= n_max, filled by
+def recurrence_rows() -> Iterator[list[QLaurentPoly]]:
+    """The rows t(n, 0..n//2) for n = 0, 1, 2, ..., filled by
     t(n+1, r+1) = q^(r+1) t(n, r+1) + (q^(n-r) - q^r) t(n, r), t(n, 0) = 1.
 
     Rows stop at r = n//2: at n = 2r the coefficient q^(n-r) - q^r vanishes,
@@ -93,15 +95,24 @@ def recurrence_table(n_max: int) -> list[list[QLaurentPoly]]:
     0 <= 2r <= n is ever nonzero.  Each row is built from the one before it
     with a zero appended for t(n, n//2 + 1).  Row 0 is the single entry 1
     (the empty matrix counts once), which the recurrence never reads but
-    keeps row sums defined for n = 0.
+    keeps row sums defined for n = 0.  Row n + 1 is built only when asked
+    for, and between rows only the row last yielded is held.
     """
+    row = [ONE]
+    for n in count():
+        yield row
+        row = [ONE] + [
+            _recurrence_step(n, r, same, lower)
+            for r, lower, same in zip(range((n + 1) // 2), row, row[1:] + [ZERO])
+        ]
+
+
+def recurrence_table(n_max: int) -> list[list[QLaurentPoly]]:
+    """The rows t(n, 0..n//2) for 0 <= n <= n_max: the first n_max + 1 rows
+    of ``recurrence_rows``, as a list."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    rows = [[ONE]]
-    for n in range(n_max):
-        prev = rows[-1] + [ZERO]
-        rows.append([ONE] + [_recurrence_step(n, r, prev[r + 1], prev[r]) for r in range((n + 1) // 2)])
-    return rows
+    return list(islice(recurrence_rows(), n_max + 1))
 
 
 def row_total(entries: list[QLaurentPoly]) -> QLaurentPoly:

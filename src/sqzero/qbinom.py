@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .qpoly import ONE, ZERO, QLaurentPoly
+from .qpoly import ONE, ZERO, QLaurentPoly, _poly
 
 
 def binomial(n: int, k: int) -> int:
@@ -55,6 +55,11 @@ def qbinomial(m: int, n: int) -> QLaurentPoly:
     if n >= len(row):
         grown = list(row)
         for t in range(len(row), n + 1):
-            grown.append((grown[-1] * _one_minus_q_pow(m - t + 1)).exact_div(_one_minus_q_pow(t)))
+            c = (grown[-1] * _one_minus_q_pow(m - t + 1)).exact_div(_one_minus_q_pow(t))._c
+            low = c[: (len(c) + 1) // 2]
+            mirrored = low + low[: len(c) // 2][::-1]
+            if mirrored != c:
+                raise ArithmeticError(f"[{m}, {t}] is not palindromic")
+            grown.append(_poly(0, mirrored))
         row = _rows[m] = tuple(grown)
     return row[n]

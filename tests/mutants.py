@@ -69,6 +69,28 @@ MUTANTS = [
         ("test_qbinom.py",),
     ),
     Mutant(
+        "qbinom: mirror check deleted",
+        "qbinom.py",
+        "            if mirrored != c:\n"
+        '                raise ArithmeticError(f"[{m}, {t}] is not palindromic")\n',
+        "",
+        ("test_qbinom.py",),
+    ),
+    Mutant(
+        "qbinom: quotient stored unshared",
+        "qbinom.py",
+        "grown.append(_poly(0, mirrored))",
+        "grown.append(_poly(0, c))",
+        ("test_qbinom.py",),
+    ),
+    Mutant(
+        "cli: verify reads one reference row late",
+        "cli.py",
+        "islice(counting.recurrence_rows(), 1, None)",
+        "islice(counting.recurrence_rows(), 2, None)",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "counting: a sign in _recurrence_step",
         "counting.py",
         "(-1, r, t_lower)",

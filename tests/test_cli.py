@@ -157,18 +157,23 @@ class TestVerify:
         assert "n=3: OK" in out
 
     def test_builds_one_reference_table(self, capsys, monkeypatch):
-        real = counting.recurrence_table
-        calls = []
+        # the reference rows come from one generator, drawn once each
+        # from row 0 to row 40 and none past it
+        real = counting.recurrence_rows
+        calls, drawn = [], []
 
-        def counted(n_max):
-            calls.append(n_max)
-            return real(n_max)
+        def counted():
+            calls.append(None)
+            for row in real():
+                drawn.append(len(row))
+                yield row
 
-        monkeypatch.setattr(counting, "recurrence_table", counted)
+        monkeypatch.setattr(counting, "recurrence_rows", counted)
         code, out, _ = run(capsys, "verify", "--n-max", "40")
         assert code == 0
         assert out.splitlines()[-1].startswith("verify: PASS")
-        assert calls == [40]
+        assert len(calls) == 1
+        assert drawn == [n // 2 + 1 for n in range(41)]
 
     def test_a_wrong_stored_binomial_fails_both_constant_term_routes(self, capsys, monkeypatch):
         # anna and sumanna read their Gaussian binomials from one store;

@@ -327,6 +327,7 @@ ROUTES = {
     "closed": {"counting.closed_form", "qbinom.binomial", "qpoly.QLaurentPoly.__init__"},
     "recurrence": {
         "counting.recurrence_table",
+        "counting.recurrence_rows",
         "counting._recurrence_step",
         "qpoly.linear_combination",
         "qpoly._poly",

@@ -14,6 +14,7 @@ kernels can be held to the same leaves in the same order.
 """
 
 import itertools
+import pickle
 import sys
 import types
 from collections import Counter
@@ -210,6 +211,13 @@ class TestBudget:
         # 2^14365 has 4325 digits, past Python's default cap on int -> str
         with pytest.raises(BudgetExceededError, match=r"2\^14365 candidates > budget 100000000$"):
             count(170, 2)
+
+    def test_survives_a_pickle_round_trip(self):
+        error = BudgetExceededError(3, 10, 5)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is BudgetExceededError
+        assert (copy.q, copy.cells, copy.budget) == (3, 10, 5)
+        assert str(copy) == str(error)
 
     def test_budget_override_allows_run(self):
         assert count_square_zero(3, 2, budget=8) == 6

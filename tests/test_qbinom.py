@@ -121,6 +121,24 @@ class TestAgainstLiteralQuotient:
             assert type(row) is tuple, m
             assert len(row) <= m // 2 + 1, m
 
+    def test_store_shares_each_mirrored_coefficient(self, monkeypatch):
+        monkeypatch.setattr(qbinom, "_rows", {})
+        for m in range(61):
+            alternating_qbinomial_sum.__wrapped__(m)
+        for m, row in qbinom._rows.items():
+            for t, poly in enumerate(row):
+                c = poly._c
+                assert all(c[-1 - k] is c[k] for k in range(len(c))), (m, t)
+
+    def test_a_non_palindromic_quotient_raises(self, monkeypatch):
+        monkeypatch.setattr(qbinom, "_rows", {})
+        exact_div = QLaurentPoly.exact_div
+        # one more at q^0 leaves the top coefficient, 1, unmatched
+        monkeypatch.setattr(QLaurentPoly, "exact_div", lambda self, d: exact_div(self, d) + 1)
+        with pytest.raises(ArithmeticError, match=r"^\[6, 1\] is not palindromic$"):
+            qbinomial(6, 2)
+        assert 6 not in qbinom._rows
+
     def test_threads_filling_one_store_agree(self, monkeypatch):
         expected = {(m, n): literal_qbinomial(m, n) for m in range(16) for n in range(m + 1)}
         threads = 4
