@@ -6,8 +6,10 @@ polynomial engines it checks, so the search takes no algebraic shortcut:
 it assigns a value only if the entry of X^2 it completes is zero by field
 add and mul, read from a table of roots built once per field.  X is kept
 in fill order, so a completed column is a slice.  The corner X[0][n-1],
-in no entry of X^2, counts q times, and one reduction of the last column
-ranks all q of its values.  Ranks use add, mul, neg and inv.
+in no entry of X^2, counts q times.  The last checked entry, X[1][n-1],
+is settled in bulk from the roots table, and reductions of the last
+column's known rows and of e1 rank all its values with every corner
+value.  Ranks use add, mul, neg and inv.
 
 Only strictly upper-triangular X are enumerated.  That loses nothing: the
 diagonal of X^2 holds the squares of X's diagonal, and in a field only 0
@@ -17,8 +19,6 @@ squares to 0, so every triangular solution already has a zero diagonal.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
-from itertools import count
 
 from .gf import FiniteField
 
@@ -91,62 +91,112 @@ def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
     return basis
 
 
-def _corner_ranks(ranks: Counter, n: int, field: FiniteField, entries, basis) -> None:
-    """Add to ``ranks`` the rank of X at each of its q corner values c.
-    Column n-1, entries[-1:-n:-1] (corner first), is v + c*e, e the
-    corner's unit column.  Each vector's pivot is its last nonzero row, so
-    one pivoted at row 0 is e: e is in span(basis) iff in ``basis``, and
-    the reductions of v + c*e and of v differ in row 0 alone.  So with row
-    0 cleared, if any of v is left, each c adds 1 to len(basis); else, with
-    e in ``basis``, none does; else all but one c do."""
-    rank = len(basis)
-    left = _reduce(entries[-1:-n:-1], basis, field)
-    left[0] = 0
-    if any(left):
-        ranks[rank + 1] += field.q
-    elif (0, ((0, 1),)) in basis:
-        ranks[rank] += field.q
-    else:
-        ranks[rank] += 1
-        ranks[rank + 1] += field.q - 1
+def _last_column_ranks(ranks: Counter, n: int, field: FiniteField):
+    """A visitor adding to ``ranks`` the rank of X at each x in xs at
+    (1, n-1) and corner value c.  Column n-1, top row first, is
+    v0 + x*e1 + c*e0, v0 with rows 0 and 1 unset.  With row 0 cleared, its
+    reduction is L0 + x*L1 (L0, L1 those of v0 and e1, L1 once per basis):
+    zero at every x (L1 = 0 = L0), at none (L1 = 0 != L0) or at
+    x* = -L0[p]/L1[p] alone.  Each x then takes the corner rule: nonzero
+    adds 1 to len(basis) at every c; zero adds 1 at no c if e0 is a basis
+    vector, else at all c but one."""
+    add, mul, neg, q = field.add, field.mul, field.neg, field.q
+    unit = [int(i == 1) for i in range(n - 1)]  # e1; zero at n = 2, with no row 1
+    held = l1 = p = over = keep = rank = None
+
+    def visit(entries, basis, xs) -> None:
+        nonlocal held, l1, p, over, keep, rank
+        if held is not basis:
+            held, l1 = basis, _reduce(unit[:], basis, field)
+            l1[0] = 0
+            p = next((i for i, y in enumerate(l1) if y), None)
+            over = p is not None and mul[field.inv(l1[p])]
+            keep, rank = q if (0, ((0, 1),)) in basis else 1, len(basis)
+        l0 = _reduce(entries[-1:-n:-1], basis, field)
+        l0[0] = 0
+        if p is None:
+            zeros = not any(l0) and len(xs)
+        else:  # x* = -t, t = L0[p]/L1[p]; L0 + x*L1 = 0 iff L0 = t*L1
+            t = over[l0[p]]
+            zeros = neg[t] in xs and l0 == [mul[t][v] for v in l1]
+        kept, total = keep * zeros, len(xs) * q  # the (x, c) that keep the rank
+        if kept:
+            ranks[rank] += kept
+        if kept < total:
+            ranks[rank + 1] += total - kept
+
+    return visit
 
 
-def _search(n: int, field: FiniteField, visit, ranked: bool = False) -> None:
-    """For n >= 2, call visit(entries, basis) on each checked prefix: a
-    square-zero X but for its corner X[0][n-1], as the reused list
-    ``entries`` in fill order, entries[d] set at depth d of a depth-first
-    search, and basis[n-2].  Assigning X[i][j], i > 0, completes
-    (X^2)[i-1][j] = X[i-1][i]*x + s, s summed on entering (i, j), so only
-    the x in roots[X[i-1][i]][s] are tried and each entry of X^2 with
-    j >= i+2 is checked once on the way.  The corner is in no entry of X^2,
-    so its q values each complete a prefix.  With ``ranked``, basis[j], the
-    echelon basis of columns 0..j, is built from basis[j-1] and column j's
-    slice, top row first, when (0, j) completes; else no rank work is done."""
+def _search(n: int, field: FiniteField, visit=None) -> int:
+    """For n >= 2, the number of square-zero X with corner X[0][n-1] = 0,
+    each good for q corner values, from a depth-first search that fills
+    the reused list ``entries``, X in fill order.  Assigning X[i][j], i > 0,
+    completes X[i-1][i]*x + X[i-1][i+1]*X[i+1][j] + h of X^2, h summing
+    pairs[1:] of its check: the node at (i+1, j) sums h once for all its
+    values y, each giving roots[X[i-1][i]][X[i-1][i+1]*y + h] to (i, j),
+    and assigns a single root without a call.  The node before (1, n-1)
+    counts (1, n-1)'s roots xs, and with ``visit`` calls
+    visit(entries, basis[n-2], xs), which must leave ``entries`` as it was;
+    basis[j], the echelon basis of columns 0..j, is then built when (0, j)
+    completes, from basis[j-1] and column j's slice, top row first.  n = 2
+    has no (1, n-1): its xs is (0,)."""
     order = _fill_order(n)
-    entries = [0] * len(order)
-    basis = [()] * (n - 1)
-    add, mul, values, roots = field.add, field.mul, range(field.q), _roots(field)
     corner = len(order) - 1
+    settle = corner - 2  # the node before (1, n-1)
+    entries, basis = [0] * len(order), [()] * (n - 1)
+    add, mul, roots = field.add, field.mul, _roots(field)
+    counted = 0
+    if settle < 0:
+        if visit:
+            visit(entries, basis[0], (0,))
+        return 1
+    # per node: j (0 without visit), then a, b, h of the child's check
+    # X[i-1][i]*x + X[i-1][i+1]*y + h; the corner, never set, is a zero term
+    spec = []
+    for d in range(settle + 1):
+        a, pairs = order[d + 1][0] or (corner, ())
+        b = pairs[0][0] if pairs else corner
+        spec.append((order[d][1] if visit else 0, a if d else None, b, pairs[1:]))
+    first = tuple(r[0] for r in roots)  # (1, 2)'s check is X[0][1]*x
 
-    def fill(depth: int) -> None:
-        if depth >= corner:
-            visit(entries, basis[n - 2])
-            return
-        check, j = order[depth]
-        choices = values
-        if check:
-            a, pairs = check
+    def fill(depth: int, xs) -> None:
+        nonlocal counted
+        while True:  # the child's roots at each value y are ra[ah[mb[y]]]
+            j, a, b, h = spec[depth]
+            if a is None:
+                ra, mb = first, mul[1]
+            else:
+                ra, mb = roots[entries[a]], mul[entries[b]]
             s = 0
-            for u, v in pairs:
+            for u, v in h:
                 s = add[s][mul[entries[u]][entries[v]]]
-            choices = roots[entries[a]][s]
-        for x in choices:
-            entries[depth] = x
-            if ranked and j:
-                basis[j] = _extend(basis[j - 1], entries[depth - j + 1 : depth + 1][::-1], field)
-            fill(depth + 1)
+            ah = add[s]
+            if depth == settle and not visit:
+                for x in xs:
+                    counted += len(ra[ah[mb[x]]])
+                return
+            for x in xs:
+                entries[depth] = x
+                if j:
+                    column = entries[depth - j + 1 : depth + 1][::-1]
+                    basis[j] = _extend(basis[j - 1], column, field)
+                ys = ra[ah[mb[x]]]
+                if not ys:
+                    continue
+                if depth == settle:
+                    counted += len(ys)
+                    visit(entries, basis[n - 2], ys)
+                elif len(xs) > 1:
+                    fill(depth + 1, ys)
+                else:  # one root: go on in this call
+                    break
+            else:
+                return
+            depth, xs = depth + 1, ys
 
-    fill(0)
+    fill(0, range(field.q))
+    return counted
 
 
 def _enumerate(n: int, q: int, budget: int, by_rank: bool):
@@ -159,20 +209,18 @@ def _enumerate(n: int, q: int, budget: int, by_rank: bool):
     if n == 1:  # no corner: the one 1 x 1 matrix is zero
         return Counter({0: 1}) if by_rank else 1
     if not by_rank:
-        prefixes = count()  # after k visits, next() gives k
-        _search(n, field, lambda entries, basis: next(prefixes))
-        return q * next(prefixes)  # each prefix with each of the corner's q values
+        return q * _search(n, field)  # each with each of the corner's q values
     ranks = Counter()
-    _search(n, field, partial(_corner_ranks, ranks, n, field), True)
+    _search(n, field, _last_column_ranks(ranks, n, field))
     return ranks
 
 
 def count_square_zero(n: int, q: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
     """Exact number of n x n strictly upper-triangular X over GF(q) with
-    X^2 = 0, by a search that assigns only values that zero the entry of
-    X^2 they complete; each checked prefix counts once per value of the free
-    corner.  The budget bounds all q^(n(n-1)/2) candidates.  The search runs
-    in the calling process; ``workers`` is ignored (the benchmark passes it)."""
+    X^2 = 0, by a search that takes only values that zero the entry of X^2
+    they complete; each X found counts once per value of the free corner.
+    The budget bounds all q^(n(n-1)/2) candidates.  The search runs in the
+    calling process; ``workers`` is ignored (the benchmark passes it)."""
     return _enumerate(n, q, budget, by_rank=False)
 
 
@@ -182,7 +230,8 @@ def count_by_rank(
     """Square-zero count by matrix rank; only ranks that occur appear, and
     the values sum to count_square_zero(n, q).  The search keeps a column
     echelon basis, each column reduced once when complete, and one reduction
-    of the last column against it ranks a prefix's q corner values.
-    ``workers`` is ignored, as in count_square_zero."""
+    of the last column's known rows against it ranks a prefix's values of
+    X[1][n-1] and the corner.  ``workers`` is ignored, as in
+    count_square_zero."""
     ranks = _enumerate(n, q, budget, by_rank=True)
     return dict(sorted(ranks.items()))

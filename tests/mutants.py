@@ -135,8 +135,8 @@ MUTANTS = [
     Mutant(
         "oracle: corner counted q - 1 times",
         "oracle.py",
-        "return q * next(prefixes)",
-        "return (q - 1) * next(prefixes)",
+        "return q * _search(n, field)",
+        "return (q - 1) * _search(n, field)",
         ("test_oracle.py",),
     ),
     Mutant(
@@ -149,22 +149,22 @@ MUTANTS = [
     Mutant(
         "oracle: corner row left in the residue",
         "oracle.py",
-        "    left[0] = 0\n",
+        "        l0[0] = 0\n",
         "",
         ("test_oracle.py",),
     ),
     Mutant(
         "oracle: unit-column membership test replaced by False",
         "oracle.py",
-        "elif (0, ((0, 1),)) in basis:",
-        "elif False:",
+        "q if (0, ((0, 1),)) in basis else 1",
+        "q if False else 1",
         ("test_oracle.py",),
     ),
     Mutant(
         "oracle: one-in-span branch swapped",
         "oracle.py",
-        "        ranks[rank] += 1\n        ranks[rank + 1] += field.q - 1\n",
-        "        ranks[rank] += field.q - 1\n        ranks[rank + 1] += 1\n",
+        "q if (0, ((0, 1),)) in basis else 1",
+        "q if (0, ((0, 1),)) in basis else q - 1",
         ("test_oracle.py",),
     ),
     Mutant(
@@ -205,8 +205,43 @@ MUTANTS = [
     Mutant(
         "oracle: column 1 never extended",
         "oracle.py",
-        "if ranked and j:",
-        "if ranked and j > 1:",
+        "                if j:\n",
+        "                if j > 1:\n",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: h keeps its check's first pair",
+        "oracle.py",
+        "pairs[1:]))",
+        "pairs))",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: child's X[i-1][i+1]*X[i+1][j] term dropped",
+        "oracle.py",
+        "ra, mb = roots[entries[a]], mul[entries[b]]",
+        "ra, mb = roots[entries[a]], mul[0]",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: bulk count reads X[0][2]*y as 0",
+        "oracle.py",
+        "counted += len(ra[ah[mb[x]]])",
+        "counted += len(ra[ah[0]])",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: x* counted when it is not a root",
+        "oracle.py",
+        "zeros = neg[t] in xs and l0 ==",
+        "zeros = l0 ==",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: reduction of e1 keeps row 0",
+        "oracle.py",
+        "            l1[0] = 0\n",
+        "",
         ("test_oracle.py",),
     ),
     Mutant(

@@ -6,10 +6,10 @@ Gaussian elimination.  None of them uses the search's fill order or its
 incremental checks, so they stay independent of the code they check.  The
 fill order the search stores X in is defined here on its own
 (fill_positions), so each leaf maps back to its row-major tuple.  The
-search as it stood before its checks read the field's tables directly, and
-the corner rank step as it stood before one reduction ranked all q corner
-values, and the one-reduction rule as it stood before the basis was pivoted
-at each vector's last nonzero row, are kept here too, so the rewritten
+search as it stood before its checks read the field's tables directly, the
+corner rank step as it stood before one reduction ranked all q corner
+values, and the search and corner rule as they stood before the last
+checked entry was settled in bulk, are kept here too, so the rewritten
 kernels can be held to the same leaves in the same order.
 """
 
@@ -31,9 +31,9 @@ from sqzero.counting import closed_form
 from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
     BudgetExceededError,
-    _corner_ranks,
     _extend,
     _fill_order,
+    _last_column_ranks,
     _reduce,
     _roots,
     _search,
@@ -135,22 +135,29 @@ def last_column(n: int) -> tuple:
 def search_leaves(n: int, field, ranked: bool = False) -> list:
     """Every square-zero X the search finds, in its order, as its row-major
     entry tuple (with its rank, if ``ranked``): the visitor expands each
-    checked prefix into its q corner values, each ranked by one reduction
-    of the last column against the basis the search carries
-    (previous_corner_ranks)."""
+    prefix into the roots xs at (1, n-1), and each of those into its q
+    corner values, each ranked by one reduction of the last column against
+    the basis the search carries (previous_corner_ranks)."""
     if n == 1:  # no corner and no search: the one 1 x 1 matrix is zero
         return [((), 0) if ranked else ()]
     found, place, column = [], fill_positions(n), last_column(n)
     row_major = [place[i, j] for i in range(n) for j in range(i + 1, n)]
+    corner, settled = place[0, n - 1], place.get((1, n - 1))  # None at n = 2
 
-    def visit(entries, basis):
-        ranks = list(previous_corner_ranks(entries, basis, column, field)) if ranked else None
-        for c in range(field.q):
-            entries[place[0, n - 1]] = c
-            leaf = tuple(entries[k] for k in row_major)
-            found.append((leaf, ranks[c]) if ranked else leaf)
+    def visit(entries, basis, xs):
+        for x in xs:
+            if settled is not None:
+                entries[settled] = x
+            ranks = list(previous_corner_ranks(entries, basis, column, field)) if ranked else None
+            for c in range(field.q):
+                entries[corner] = c
+                leaf = tuple(entries[k] for k in row_major)
+                found.append((leaf, ranks[c]) if ranked else leaf)
+        for k in (corner, settled):  # leave entries as the search left them
+            if k is not None:
+                entries[k] = 0
 
-    _search(n, field, visit, ranked)
+    _search(n, field, visit)
     return found
 
 
@@ -344,19 +351,6 @@ def previous_extend(basis: tuple, column: list[int], field: FiniteField) -> tupl
     return basis
 
 
-def previous_wide_corner_ranks(ranks: Counter, column, field, entries, basis, wide) -> None:
-    """The one-reduction rule, against ``wide``: the basis of columns
-    0..n-2 extended by the corner's unit column e."""
-    rank = len(basis)
-    if any(previous_reduce([entries[k] for k in column], wide, field)):
-        ranks[rank + 1] += field.q
-    elif len(wide) == rank:
-        ranks[rank] += field.q
-    else:
-        ranks[rank] += 1
-        ranks[rank + 1] += field.q - 1
-
-
 def previous_corner_ranks(entries: list[int], basis, column, field: FiniteField):
     """Yield the rank of X for each corner value 0..q-1: column n-1 (indices
     top row first, so the corner first) reduced against columns 0..n-2."""
@@ -414,39 +408,193 @@ class TestAgainstPreviousKernel:
             assert new == old, f"leaf {k}"
 
 
+# The search, its corner rank step and the two branches of _enumerate that
+# ran it, as they stood before the last checked entry was settled in bulk:
+# copied unchanged but for the names, as the reference the rewritten search
+# must match count for count, rank table for rank table and leaf for leaf.
+def previous_corner_rule(ranks: Counter, n: int, field: FiniteField, entries, basis) -> None:
+    rank = len(basis)
+    left = _reduce(entries[-1:-n:-1], basis, field)
+    left[0] = 0
+    if any(left):
+        ranks[rank + 1] += field.q
+    elif (0, ((0, 1),)) in basis:
+        ranks[rank] += field.q
+    else:
+        ranks[rank] += 1
+        ranks[rank + 1] += field.q - 1
+
+
+def previous_search(n: int, field: FiniteField, visit, ranked: bool = False) -> None:
+    order = _fill_order(n)
+    entries = [0] * len(order)
+    basis = [()] * (n - 1)
+    add, mul, values, roots = field.add, field.mul, range(field.q), _roots(field)
+    corner = len(order) - 1
+
+    def fill(depth: int) -> None:
+        if depth >= corner:
+            visit(entries, basis[n - 2])
+            return
+        check, j = order[depth]
+        choices = values
+        if check:
+            a, pairs = check
+            s = 0
+            for u, v in pairs:
+                s = add[s][mul[entries[u]][entries[v]]]
+            choices = roots[entries[a]][s]
+        for x in choices:
+            entries[depth] = x
+            if ranked and j:
+                basis[j] = _extend(basis[j - 1], entries[depth - j + 1 : depth + 1][::-1], field)
+            fill(depth + 1)
+
+    fill(0)
+
+
+def previous_enumerate(n: int, q: int, by_rank: bool):
+    field = FiniteField(q)
+    if n == 1:
+        return Counter({0: 1}) if by_rank else 1
+    if not by_rank:
+        prefixes = itertools.count()
+        previous_search(n, field, lambda entries, basis: next(prefixes))
+        return q * next(prefixes)
+    ranks = Counter()
+    previous_search(n, field, partial(previous_corner_rule, ranks, n, field), True)
+    return ranks
+
+
+def previous_leaves(n: int, field, ranked: bool = False) -> list:
+    """search_leaves through previous_search, whose visitor expands each
+    prefix into its q corner values alone."""
+    if n == 1:
+        return [((), 0) if ranked else ()]
+    found, place, column = [], fill_positions(n), last_column(n)
+    row_major = [place[i, j] for i in range(n) for j in range(i + 1, n)]
+
+    def visit(entries, basis):
+        ranks = list(previous_corner_ranks(entries, basis, column, field)) if ranked else None
+        for c in range(field.q):
+            entries[place[0, n - 1]] = c
+            leaf = tuple(entries[k] for k in row_major)
+            found.append((leaf, ranks[c]) if ranked else leaf)
+
+    previous_search(n, field, visit, ranked)
+    return found
+
+
+SEARCH_GRID = sorted(set(PREVIOUS_GRID) | {(7, 2), (6, 3), (5, 5), (4, 16), (5, 7)})
+
+
+class TestAgainstPreviousSearch:
+    """The bulk-settling search against the search it replaced."""
+
+    @pytest.mark.parametrize("n,q", SEARCH_GRID, ids=lambda v: str(v))
+    def test_same_count_and_rank_table(self, n, q):
+        total = previous_enumerate(n, q, False)
+        assert count_square_zero(n, q, budget=10**9) == total
+        ranks = previous_enumerate(n, q, True)
+        assert count_by_rank(n, q, budget=10**9) == dict(sorted(ranks.items()))
+        if n > 1:  # the ranked search counts as it ranks
+            assert q * _search(n, FiniteField(q), lambda *prefix: None) == total
+
+    def test_same_count_at_8_2(self):
+        assert count_square_zero(8, 2, budget=10**9) == previous_enumerate(8, 2, False)
+
+    @pytest.mark.parametrize("ranked", [False, True], ids=["count", "ranked"])
+    @pytest.mark.parametrize(
+        "n,q", [(n, q) for n, q in SEARCH_GRID if q ** (n * (n - 1) // 2) <= 10**5], ids=str
+    )
+    def test_same_leaves_in_the_same_order(self, n, q, ranked):
+        field = FiniteField(q)
+        found, reference = search_leaves(n, field, ranked), previous_leaves(n, field, ranked)
+        pairs = itertools.zip_longest(found, reference)
+        for k, (new, old) in enumerate(pairs):
+            assert new == old, f"leaf {k}"
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_n_up_to_three(self, q):
+        # n = 3 has no (2, n-1), so (0, 1) settles (1, 2); n = 2 has no (1, n-1)
+        field = FiniteField(q)
+        assert _search(2, field) == 1 and _search(3, field) == 2 * q - 1
+        assert search_leaves(2, field, True) == [((c,), int(c != 0)) for c in range(q)]
+        assert search_leaves(3, field) == previous_leaves(3, field)
+        xs = []
+        visit = lambda entries, basis, roots: xs.append((entries[0], roots))
+        assert _search(3, field, visit) == 2 * q - 1
+        assert xs == [(0, tuple(range(q)))] + [(y, (0,)) for y in range(1, q)]
+
+
 CORNER_GRID = sorted(set(PREVIOUS_GRID) - {(1, q) for q in SUPPORTED_ORDERS} | {(5, 5), (4, 16)})
+CORNER_BRANCHES = {"none", "one", "all"}
+BULK_BRANCHES = {
+    "L1 = 0, L0 = 0",
+    "L1 = 0, L0 != 0",
+    "x* a root",
+    "x* not a root",
+    "e0 in the basis",
+    "e0 not in the basis",
+}
+
+
+def bulk_branches(n: int, field, entries, basis, xs) -> set:
+    """The bulk rule's branches at one prefix, from reductions made here:
+    L1 zero with L0 zero or not, or L1 nonzero with x* in xs or not; and
+    e0 in the span of the basis (so a basis vector) or not."""
+    v0 = [entries[k] for k in last_column(n)]  # rows 0 and 1 unset
+    l0 = previous_reduce(v0, basis, field)
+    l1 = previous_reduce([int(i == 1) for i in range(n - 1)], basis, field)
+    l0[0] = l1[0] = 0
+    e0 = previous_reduce([1] + [0] * (n - 2), basis, field)
+    seen = {"e0 not in the basis" if any(e0) else "e0 in the basis"}
+    if not any(l1):
+        seen.add("L1 = 0, L0 != 0" if any(l0) else "L1 = 0, L0 = 0")
+    else:
+        p = next(i for i, y in enumerate(l1) if y)
+        x = field.mul[field.neg[l0[p]]][field.inv(l1[p])]
+        seen.add("x* a root" if x in xs else "x* not a root")
+    return seen
 
 
 @lru_cache(maxsize=None)
 def corner_rule_branches(n: int, q: int) -> frozenset:
-    """Check the one-reduction corner rule against the q per-corner ranks
-    and against the rule on ``wide`` at every checked prefix of (n, q), and
-    return the branches taken, named by how many corner values keep the
-    rank of columns 0..n-2: "none" (v outside span(basis, e)), "all" (e in
-    span(basis)) or "one" (the rest)."""
+    """Check the bulk rule, one visitor for the whole search, against the
+    per-(x, c) ranks and against the previous corner rule at each x, at
+    every prefix of (n, q); return the branches taken: per x, by how many
+    corner values keep the rank of columns 0..n-2, "none", "all" or "one",
+    and the bulk rule's (bulk_branches)."""
     field, column = FiniteField(q), last_column(n)
-    unit = [1] + [0] * (n - 2)
-    seen = set()
+    settled = fill_positions(n).get((1, n - 1))  # None at n = 2
+    ranks, seen = Counter(), set()
+    rule = _last_column_ranks(ranks, n, field)
 
-    def visit(entries, basis):
-        new, wide = Counter(), Counter()
-        per_corner = Counter(previous_corner_ranks(entries, basis, column, field))
-        _corner_ranks(new, n, field, entries, basis)
-        previous_wide_corner_ranks(
-            wide, column, field, entries, basis, previous_extend(basis, unit[:], field)
-        )
-        assert new == per_corner == wide, entries
-        kept = per_corner[len(basis)]
-        seen.add("none" if kept == 0 else "all" if kept == q else "one")
+    def visit(entries, basis, xs):
+        before = Counter(ranks)
+        rule(entries, basis, xs)
+        seen.update(bulk_branches(n, field, entries, basis, xs))
+        per_xc, per_x = Counter(), Counter()
+        for x in xs:
+            if settled is not None:
+                entries[settled] = x
+            per_corner = Counter(previous_corner_ranks(entries, basis, column, field))
+            previous_corner_rule(per_x, n, field, entries, basis)
+            per_xc += per_corner
+            kept = per_corner[len(basis)]
+            seen.add("none" if kept == 0 else "all" if kept == q else "one")
+        if settled is not None:
+            entries[settled] = 0
+        assert ranks - before == per_xc == per_x, (entries, xs)
 
-    _search(n, field, visit, ranked=True)
+    _search(n, field, visit)
     return frozenset(seen)
 
 
 class TestCornerRule:
-    """One reduction against the basis, row 0 cleared, ranks the q corner
-    values of each prefix as the q per-corner reductions and the rule on
-    ``wide`` it replaced do."""
+    """The corner rule extended to (1, n-1): one reduction of v0 and one of
+    e1 per basis, row 0 cleared, rank every (x, c) of a prefix as the
+    per-(x, c) reductions and the previous corner rule at each x do."""
 
     @pytest.mark.parametrize("n,q", CORNER_GRID, ids=lambda v: str(v))
     def test_equals_the_per_corner_ranks_at_every_prefix(self, n, q):
@@ -454,7 +602,24 @@ class TestCornerRule:
 
     def test_all_three_branches_occur(self):
         seen = set().union(*(corner_rule_branches(n, q) for n, q in CORNER_GRID))
-        assert seen == {"none", "one", "all"}
+        assert seen & CORNER_BRANCHES == CORNER_BRANCHES
+
+    def test_every_bulk_branch_occurs(self):
+        seen = set().union(*(corner_rule_branches(n, q) for n, q in CORNER_GRID))
+        assert seen & BULK_BRANCHES == BULK_BRANCHES
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_x_star_counts_only_as_a_root(self, q):
+        # In the search, L0 + x*L1 = 0 makes x* a root: row 0 of X is
+        # orthogonal to the span of columns 0..n-2.  So only a direct call
+        # reaches x* outside xs: here v0 = 0 and L1 = e1, so x* = 0.
+        for xs in [(1,), tuple(range(1, q)), (0,)]:
+            ranks = Counter()
+            _last_column_ranks(ranks, 3, FiniteField(q))([0, 0, 0], (), xs)
+            expected = Counter()
+            for x in xs:
+                expected += Counter(previous_corner_ranks([0, x], (), range(2), FiniteField(q)))
+            assert ranks == expected, xs
 
     @given(st.data())
     def test_equals_the_per_corner_ranks_on_random_columns(self, data):
@@ -463,21 +628,39 @@ class TestCornerRule:
         field, elements = FiniteField(q), st.integers(0, q - 1)
         vectors = st.lists(elements, min_size=rows, max_size=rows)
         columns = data.draw(st.lists(vectors, max_size=rows), label="columns")
-        if data.draw(st.booleans(), label="e in span"):
-            columns.insert(data.draw(st.integers(0, len(columns))), [1] + [0] * (rows - 1))
+        for unit in range(min(rows, 2)):
+            if data.draw(st.booleans(), label=f"e{unit} in span"):
+                e = [int(i == unit) for i in range(rows)]
+                columns.insert(data.draw(st.integers(0, len(columns))), e)
         basis = ()
         for c in columns:
             basis = _extend(basis, c[:], field)
-        if data.draw(st.booleans(), label="v in span"):
-            last = [0] * rows
-            for c in columns:
-                times = field.mul[data.draw(elements)]
-                last = [field.add[x][times[y]] for x, y in zip(last, c)]
-        else:
-            last = data.draw(vectors, label="v")
-        new = Counter()
-        _corner_ranks(new, rows + 1, field, last[::-1], basis)  # fill order: bottom up
-        assert new == Counter(previous_corner_ranks(last, basis, range(rows), field))
+        ranks = Counter()
+        rule = _last_column_ranks(ranks, rows + 1, field)
+        for _ in range(data.draw(st.integers(1, 3), label="prefixes")):  # one basis, many v0
+            if data.draw(st.booleans(), label="w in span"):
+                w = [0] * rows
+                for c in columns:
+                    times = field.mul[data.draw(elements)]
+                    w = [field.add[x][times[y]] for x, y in zip(w, c)]
+            else:
+                w = data.draw(vectors, label="w")
+            xs = {0}  # n = 2, with no (1, n-1), has xs = (0,) in the search
+            if rows > 1:
+                xs = set(data.draw(st.lists(elements, max_size=q), label="xs"))
+                if data.draw(st.booleans(), label="w[1] in xs"):
+                    xs.add(w[1])
+            xs = tuple(sorted(xs))
+            v0 = [0] * min(rows, 2) + w[2:]
+            expected = Counter()
+            for x in xs:
+                column = v0[:]
+                if rows > 1:
+                    column[1] = x
+                expected += Counter(previous_corner_ranks(column, basis, range(rows), field))
+            before = Counter(ranks)
+            rule(v0[::-1], basis, xs)  # fill order: bottom up
+            assert ranks - before == expected
 
 
 class TestPivotConvention:
@@ -529,7 +712,7 @@ class TestPublicInterface:
     @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2), (5, 3)], ids=lambda v: str(v))
     def test_a_proxy_of_the_public_names_gives_the_same_rank_counts(self, n, q):
         proxy, ranks = public_names(FiniteField(q)), Counter()
-        _search(n, proxy, partial(_corner_ranks, ranks, n, proxy), ranked=True)
+        _search(n, proxy, _last_column_ranks(ranks, n, proxy))
         assert dict(sorted(ranks.items())) == count_by_rank(n, q)
 
 
