@@ -2,14 +2,17 @@
 whose square is zero, and count them totally and by rank.
 
 Its value as a cross-check is that it shares no machinery with the
-polynomial engines it checks, so the search takes no algebraic shortcut:
-it assigns a value only if the entry of X^2 it completes is zero by field
-add and mul, read from a table of roots built once per field.  X is kept
+polynomial engines it checks, so the search's one shortcut is a symmetry
+of the problem, not an identity of the engines: it assigns a value only if
+the entry of X^2 it completes is zero by field add and mul, read from a
+table of roots built once per field, and it searches each orbit of the
+diagonal torus X -> D X D^-1 on its partial matrices once, weighting a
+normalised entry 1 by the q - 1 nonzero values it stands for.  X is kept
 in fill order, so a completed column is a slice.  The corner X[0][n-1],
 in no entry of X^2, counts q times.  The last checked entry, X[1][n-1],
-is settled in bulk from the roots table, and reductions of the last
-column's known rows and of e1 rank all its values with every corner
-value.  Ranks use add, mul, neg and inv.
+is settled in bulk from the roots table, and one reduction of the last
+column's known rows ranks all its values with every corner value.  Ranks
+use add, mul, neg and inv.
 
 Only strictly upper-triangular X are enumerated.  That loses nothing: the
 diagonal of X^2 holds the squares of X's diagonal, and in a field only 0
@@ -92,38 +95,31 @@ def _extend(basis: tuple, column: list[int], field: FiniteField) -> tuple:
 
 
 def _last_column_ranks(ranks: Counter, n: int, field: FiniteField):
-    """A visitor adding to ``ranks`` the rank of X at each x in xs at
-    (1, n-1) and corner value c.  Column n-1, top row first, is
-    v0 + x*e1 + c*e0, v0 with rows 0 and 1 unset.  With row 0 cleared, its
-    reduction is L0 + x*L1 (L0, L1 those of v0 and e1, L1 once per basis):
-    zero at every x (L1 = 0 = L0), at none (L1 = 0 != L0) or at
-    x* = -L0[p]/L1[p] alone.  Each x then takes the corner rule: nonzero
-    adds 1 to len(basis) at every c; zero adds 1 at no c if e0 is a basis
-    vector, else at all c but one."""
-    add, mul, neg, q = field.add, field.mul, field.neg, field.q
-    unit = [int(i == 1) for i in range(n - 1)]  # e1; zero at n = 2, with no row 1
-    held = l1 = p = over = keep = rank = None
+    """A visitor adding to ``ranks``, ``weight`` times over, the rank of X
+    at each x in xs at (1, n-1) and corner value c.  Column n-1, top row
+    first, is v0 + x*e1 + c*e0, v0 with rows 0 and 1 unset.  With row 0
+    cleared, its reduction is L0 + x*L1, L0 that of v0; L1, that of e1, is
+    0 if a basis vector is pivoted at row 1 (or n = 2, with no row 1), else
+    e1 itself, as each vector is pivoted at its last nonzero row.  So the
+    residue is zero at every x (L1 = 0 = L0), at none (L1 = 0 != L0) or at
+    x* = -L0[1] alone, when L0 is zero below row 1.  Each x then takes the
+    corner rule: nonzero adds 1 to len(basis) at every c; zero adds 1 at no
+    c if e0 is a basis vector, else at all c but one."""
+    neg, q = field.neg, field.q
 
-    def visit(entries, basis, xs) -> None:
-        nonlocal held, l1, p, over, keep, rank
-        if held is not basis:
-            held, l1 = basis, _reduce(unit[:], basis, field)
-            l1[0] = 0
-            p = next((i for i, y in enumerate(l1) if y), None)
-            over = p is not None and mul[field.inv(l1[p])]
-            keep, rank = q if (0, ((0, 1),)) in basis else 1, len(basis)
+    def visit(entries, basis, xs, weight) -> None:
         l0 = _reduce(entries[-1:-n:-1], basis, field)
         l0[0] = 0
-        if p is None:
+        if n < 3 or any(p == 1 for p, _ in basis):  # L1 = 0
             zeros = not any(l0) and len(xs)
-        else:  # x* = -t, t = L0[p]/L1[p]; L0 + x*L1 = 0 iff L0 = t*L1
-            t = over[l0[p]]
-            zeros = neg[t] in xs and l0 == [mul[t][v] for v in l1]
+        else:  # L1 = e1
+            zeros = neg[l0[1]] in xs and not any(l0[2:])
+        keep, rank = q if (0, ((0, 1),)) in basis else 1, len(basis)
         kept, total = keep * zeros, len(xs) * q  # the (x, c) that keep the rank
         if kept:
-            ranks[rank] += kept
+            ranks[rank] += weight * kept
         if kept < total:
-            ranks[rank + 1] += total - kept
+            ranks[rank + 1] += weight * (total - kept)
 
     return visit
 
@@ -135,21 +131,34 @@ def _search(n: int, field: FiniteField, visit=None) -> int:
     completes X[i-1][i]*x + X[i-1][i+1]*X[i+1][j] + h of X^2, h summing
     pairs[1:] of its check: the node at (i+1, j) sums h once for all its
     values y, each giving roots[X[i-1][i]][X[i-1][i+1]*y + h] to (i, j),
-    and assigns a single root without a call.  The node before (1, n-1)
-    counts (1, n-1)'s roots xs, and with ``visit`` calls
-    visit(entries, basis[n-2], xs), which must leave ``entries`` as it was;
-    basis[j], the echelon basis of columns 0..j, is then built when (0, j)
-    completes, from basis[j-1] and column j's slice, top row first.  n = 2
-    has no (1, n-1): its xs is (0,)."""
+    and assigns a single root without a call.
+
+    The diagonal torus acts by X -> D X D^-1, which keeps X^2 = 0 and the
+    rank.  Where (i, j) admits all q values and i, j lie in different
+    components of the nonzero entries placed so far (``labels``), scaling
+    j's component maps the subtree of x = 1 onto that of any x != 0 and
+    fixes every placed entry.  So for q > 2 ``split`` tries only 0 and 1
+    there and counts the 1 branch q - 1 times: the count adds (q - 2)
+    times the branch's own count when it returns, and ``weight``, the
+    prefix's product of those q - 1, goes to ``visit``.  A forced nonzero
+    root joins indices already connected through its check, so labels
+    change only at these positions, and are restored there.  Counting
+    alone settles the node before (1, n-1) without the rule.
+
+    The node before (1, n-1) counts (1, n-1)'s roots xs, and with
+    ``visit`` calls visit(entries, basis[n-2], xs, weight), which must
+    leave ``entries`` as it was; basis[j], the echelon basis of columns
+    0..j, is then built when (0, j) completes, from basis[j-1] and column
+    j's slice, top row first.  n = 2 has no (1, n-1): its xs is (0,)."""
     order = _fill_order(n)
     corner = len(order) - 1
     settle = corner - 2  # the node before (1, n-1)
     entries, basis = [0] * len(order), [()] * (n - 1)
-    add, mul, roots = field.add, field.mul, _roots(field)
-    counted = 0
+    add, mul, roots, q = field.add, field.mul, _roots(field), field.q
+    counted, weight = 0, 1
     if settle < 0:
         if visit:
-            visit(entries, basis[0], (0,))
+            visit(entries, basis[0], (0,), weight)
         return 1
     # per node: j (0 without visit), then a, b, h of the child's check
     # X[i-1][i]*x + X[i-1][i+1]*y + h; the corner, never set, is a zero term
@@ -159,6 +168,26 @@ def _search(n: int, field: FiniteField, visit=None) -> int:
         b = pairs[0][0] if pairs else corner
         spec.append((order[d][1] if visit else 0, a if d else None, b, pairs[1:]))
     first = tuple(r[0] for r in roots)  # (1, 2)'s check is X[0][1]*x
+    ends = [(i, j) for j in range(n) for i in range(j - 1, -1, -1)]  # per depth
+    labels = list(range(n))  # a component's label, per index
+    full = q if q > 2 else 0  # the rule's len(xs); at q = 2 a 1 branch is one value
+
+    def split(depth: int) -> bool:
+        """At a node whose xs is all q values: if it adds a forest edge,
+        search 0 and 1, count the 1 branch q - 1 times, and say so."""
+        nonlocal counted, weight
+        i, j = ends[depth]
+        li, lj = labels[i], labels[j]
+        if li == lj:
+            return False
+        fill(depth, (0,))
+        saved, before, w = labels[:], counted, weight
+        labels[:] = [li if label == lj else label for label in labels]
+        weight *= q - 1
+        fill(depth, (1,))
+        labels[:], weight = saved, w
+        counted += (q - 2) * (counted - before)
+        return True
 
     def fill(depth: int, xs) -> None:
         nonlocal counted
@@ -176,6 +205,8 @@ def _search(n: int, field: FiniteField, visit=None) -> int:
                 for x in xs:
                     counted += len(ra[ah[mb[x]]])
                 return
+            if full and len(xs) == full and split(depth):
+                return
             for x in xs:
                 entries[depth] = x
                 if j:
@@ -186,7 +217,7 @@ def _search(n: int, field: FiniteField, visit=None) -> int:
                     continue
                 if depth == settle:
                     counted += len(ys)
-                    visit(entries, basis[n - 2], ys)
+                    visit(entries, basis[-1], ys, weight)
                 elif len(xs) > 1:
                     fill(depth + 1, ys)
                 else:  # one root: go on in this call
@@ -195,7 +226,7 @@ def _search(n: int, field: FiniteField, visit=None) -> int:
                 return
             depth, xs = depth + 1, ys
 
-    fill(0, range(field.q))
+    fill(0, range(q))
     return counted
 
 
@@ -218,7 +249,8 @@ def _enumerate(n: int, q: int, budget: int, by_rank: bool):
 def count_square_zero(n: int, q: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
     """Exact number of n x n strictly upper-triangular X over GF(q) with
     X^2 = 0, by a search that takes only values that zero the entry of X^2
-    they complete; each X found counts once per value of the free corner.
+    they complete; each X found counts once per value of the free corner,
+    and an entry normalised to 1 by the torus once per nonzero value.
     The budget bounds all q^(n(n-1)/2) candidates.  The search runs in the
     calling process; ``workers`` is ignored (the benchmark passes it)."""
     return _enumerate(n, q, budget, by_rank=False)

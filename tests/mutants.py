@@ -233,15 +233,43 @@ MUTANTS = [
     Mutant(
         "oracle: x* counted when it is not a root",
         "oracle.py",
-        "zeros = neg[t] in xs and l0 ==",
-        "zeros = l0 ==",
+        "zeros = neg[l0[1]] in xs and not",
+        "zeros = not",
         ("test_oracle.py",),
     ),
     Mutant(
-        "oracle: reduction of e1 keeps row 0",
+        "oracle: row-1 pivot lookup inverted",
         "oracle.py",
-        "            l1[0] = 0\n",
+        "if n < 3 or any(p == 1 for p, _ in basis):",
+        "if n < 3 or not any(p == 1 for p, _ in basis):",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: torus delta counts the 1 branch q times",
+        "oracle.py",
+        "counted += (q - 2) * (counted - before)",
+        "counted += (q - 1) * (counted - before)",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: components not merged after a 1",
+        "oracle.py",
+        "        labels[:] = [li if label == lj else label for label in labels]\n",
         "",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: labels not restored",
+        "oracle.py",
+        "labels[:], weight = saved, w",
+        "weight = w",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: torus rule applied without len(xs) == q",
+        "oracle.py",
+        "if full and len(xs) == full and split(depth):",
+        "if full and split(depth):",
         ("test_oracle.py",),
     ),
     Mutant(

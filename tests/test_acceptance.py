@@ -90,8 +90,19 @@ def test_criterion_6_oracle_agreement():
             predicted = closed_form(n).eval_at(q)
             assert counted == predicted, f"(n={n}, q={q}): {counted} != {predicted}"
         # Past the default budget: 2^28 = 268M, 4^15 = 1.07G and 7^10 = 282M
-        # candidates, about 0.4, 0.2 and 0.03 s on 2 vCPU.
-        for n, q, budget in [(8, 2, 10**9), (6, 4, 2 * 10**9), (5, 7, 10**9)]:
+        # candidates, about 0.4, 0.003 and 0.001 s on 2 vCPU; then 3^21 =
+        # 10.5G, 5^15 = 30.5G, 9^10 = 3.5G, 7^15 = 4.7T and 4^21 = 4.4T,
+        # reachable because the search takes each diagonal-torus orbit once.
+        for n, q, budget in [
+            (8, 2, 10**9),
+            (6, 4, 2 * 10**9),
+            (5, 7, 10**9),
+            (7, 3, 10**11),
+            (6, 5, 10**11),
+            (5, 9, 10**10),
+            (6, 7, 10**13),
+            (7, 4, 10**13),
+        ]:
             counted = count_square_zero(n, q, budget=budget)
             predicted = closed_form(n).eval_at(q)
             assert counted == predicted, f"(n={n}, q={q}): {counted} != {predicted}"
@@ -179,6 +190,14 @@ def test_criterion_9_rank_refinement():
             expected = {r: constant_term_entry(n, r).eval_at(q) for r in range(n // 2 + 1)}
             assert count_by_rank(n, q) == expected, f"(n={n}, q={q})"
         # criterion 6's points past the default budget
-        for n, q, budget in [(5, 7, 10**9), (6, 4, 2 * 10**9)]:
+        for n, q, budget in [
+            (5, 7, 10**9),
+            (6, 4, 2 * 10**9),
+            (7, 3, 10**11),
+            (6, 5, 10**11),
+            (5, 9, 10**10),
+            (6, 7, 10**13),
+            (7, 4, 10**13),
+        ]:
             expected = {r: constant_term_entry(n, r).eval_at(q) for r in range(n // 2 + 1)}
             assert count_by_rank(n, q, budget=budget) == expected, f"(n={n}, q={q})"

@@ -8,16 +8,20 @@ fill order the search stores X in is defined here on its own
 (fill_positions), so each leaf maps back to its row-major tuple.  The
 search as it stood before its checks read the field's tables directly, the
 corner rank step as it stood before one reduction ranked all q corner
-values, and the search and corner rule as they stood before the last
-checked entry was settled in bulk, are kept here too, so the rewritten
-kernels can be held to the same leaves in the same order.
+values, the search and corner rule as they stood before the last checked
+entry was settled in bulk, and the search and rank visitor as they stood
+before the search took each diagonal-torus orbit once, are kept here too,
+so the rewritten kernels can be held to the same leaves in the same order,
+or, for the torus search, to the same counts and rank tables.
 """
 
 import itertools
+import operator
 import pickle
 import sys
 import types
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple
@@ -132,19 +136,132 @@ def last_column(n: int) -> tuple:
     return tuple(fill_positions(n)[t, n - 1] for t in range(n - 1))
 
 
-def search_leaves(n: int, field, ranked: bool = False) -> list:
-    """Every square-zero X the search finds, in its order, as its row-major
-    entry tuple (with its rank, if ``ranked``): the visitor expands each
-    prefix into the roots xs at (1, n-1), and each of those into its q
-    corner values, each ranked by one reduction of the last column against
-    the basis the search carries (previous_corner_ranks)."""
+# The search and its last-column rank visitor as they stood before the
+# search took each diagonal-torus orbit once: copied unchanged but for the
+# names, as the reference the torus search must match count for count and
+# rank table for rank table, and the search the leaf-for-leaf tests expand.
+def previous_last_column_ranks(ranks: Counter, n: int, field: FiniteField):
+    """A visitor adding to ``ranks`` the rank of X at each x in xs at
+    (1, n-1) and corner value c.  Column n-1, top row first, is
+    v0 + x*e1 + c*e0, v0 with rows 0 and 1 unset.  With row 0 cleared, its
+    reduction is L0 + x*L1 (L0, L1 those of v0 and e1, L1 once per basis):
+    zero at every x (L1 = 0 = L0), at none (L1 = 0 != L0) or at
+    x* = -L0[p]/L1[p] alone.  Each x then takes the corner rule: nonzero
+    adds 1 to len(basis) at every c; zero adds 1 at no c if e0 is a basis
+    vector, else at all c but one."""
+    add, mul, neg, q = field.add, field.mul, field.neg, field.q
+    unit = [int(i == 1) for i in range(n - 1)]  # e1; zero at n = 2, with no row 1
+    held = l1 = p = over = keep = rank = None
+
+    def visit(entries, basis, xs) -> None:
+        nonlocal held, l1, p, over, keep, rank
+        if held is not basis:
+            held, l1 = basis, _reduce(unit[:], basis, field)
+            l1[0] = 0
+            p = next((i for i, y in enumerate(l1) if y), None)
+            over = p is not None and mul[field.inv(l1[p])]
+            keep, rank = q if (0, ((0, 1),)) in basis else 1, len(basis)
+        l0 = _reduce(entries[-1:-n:-1], basis, field)
+        l0[0] = 0
+        if p is None:
+            zeros = not any(l0) and len(xs)
+        else:  # x* = -t, t = L0[p]/L1[p]; L0 + x*L1 = 0 iff L0 = t*L1
+            t = over[l0[p]]
+            zeros = neg[t] in xs and l0 == [mul[t][v] for v in l1]
+        kept, total = keep * zeros, len(xs) * q  # the (x, c) that keep the rank
+        if kept:
+            ranks[rank] += kept
+        if kept < total:
+            ranks[rank + 1] += total - kept
+
+    return visit
+
+
+def previous_bulk_search(n: int, field: FiniteField, visit=None) -> int:
+    """For n >= 2, the number of square-zero X with corner X[0][n-1] = 0,
+    each good for q corner values, from a depth-first search that fills
+    the reused list ``entries``, X in fill order.  Assigning X[i][j], i > 0,
+    completes X[i-1][i]*x + X[i-1][i+1]*X[i+1][j] + h of X^2, h summing
+    pairs[1:] of its check: the node at (i+1, j) sums h once for all its
+    values y, each giving roots[X[i-1][i]][X[i-1][i+1]*y + h] to (i, j),
+    and assigns a single root without a call.  The node before (1, n-1)
+    counts (1, n-1)'s roots xs, and with ``visit`` calls
+    visit(entries, basis[n-2], xs), which must leave ``entries`` as it was;
+    basis[j], the echelon basis of columns 0..j, is then built when (0, j)
+    completes, from basis[j-1] and column j's slice, top row first.  n = 2
+    has no (1, n-1): its xs is (0,)."""
+    order = _fill_order(n)
+    corner = len(order) - 1
+    settle = corner - 2  # the node before (1, n-1)
+    entries, basis = [0] * len(order), [()] * (n - 1)
+    add, mul, roots = field.add, field.mul, _roots(field)
+    counted = 0
+    if settle < 0:
+        if visit:
+            visit(entries, basis[0], (0,))
+        return 1
+    # per node: j (0 without visit), then a, b, h of the child's check
+    # X[i-1][i]*x + X[i-1][i+1]*y + h; the corner, never set, is a zero term
+    spec = []
+    for d in range(settle + 1):
+        a, pairs = order[d + 1][0] or (corner, ())
+        b = pairs[0][0] if pairs else corner
+        spec.append((order[d][1] if visit else 0, a if d else None, b, pairs[1:]))
+    first = tuple(r[0] for r in roots)  # (1, 2)'s check is X[0][1]*x
+
+    def fill(depth: int, xs) -> None:
+        nonlocal counted
+        while True:  # the child's roots at each value y are ra[ah[mb[y]]]
+            j, a, b, h = spec[depth]
+            if a is None:
+                ra, mb = first, mul[1]
+            else:
+                ra, mb = roots[entries[a]], mul[entries[b]]
+            s = 0
+            for u, v in h:
+                s = add[s][mul[entries[u]][entries[v]]]
+            ah = add[s]
+            if depth == settle and not visit:
+                for x in xs:
+                    counted += len(ra[ah[mb[x]]])
+                return
+            for x in xs:
+                entries[depth] = x
+                if j:
+                    column = entries[depth - j + 1 : depth + 1][::-1]
+                    basis[j] = _extend(basis[j - 1], column, field)
+                ys = ra[ah[mb[x]]]
+                if not ys:
+                    continue
+                if depth == settle:
+                    counted += len(ys)
+                    visit(entries, basis[n - 2], ys)
+                elif len(xs) > 1:
+                    fill(depth + 1, ys)
+                else:  # one root: go on in this call
+                    break
+            else:
+                return
+            depth, xs = depth + 1, ys
+
+    fill(0, range(field.q))
+    return counted
+
+
+def expand_leaves(search, n: int, field, ranked: bool = False) -> list:
+    """Every leaf ``search`` finds, in its order, as (X, rank, weight): X
+    its row-major entry tuple, rank None unless ``ranked``, and weight that
+    of its prefix (1 from a visitor called without one).  The visitor
+    expands each prefix into the roots xs at (1, n-1), and each of those
+    into its q corner values, each ranked by one reduction of the last
+    column against the basis the search carries (previous_corner_ranks)."""
     if n == 1:  # no corner and no search: the one 1 x 1 matrix is zero
-        return [((), 0) if ranked else ()]
+        return [((), 0 if ranked else None, 1)]
     found, place, column = [], fill_positions(n), last_column(n)
     row_major = [place[i, j] for i in range(n) for j in range(i + 1, n)]
     corner, settled = place[0, n - 1], place.get((1, n - 1))  # None at n = 2
 
-    def visit(entries, basis, xs):
+    def visit(entries, basis, xs, weight=1):
         for x in xs:
             if settled is not None:
                 entries[settled] = x
@@ -152,13 +269,27 @@ def search_leaves(n: int, field, ranked: bool = False) -> list:
             for c in range(field.q):
                 entries[corner] = c
                 leaf = tuple(entries[k] for k in row_major)
-                found.append((leaf, ranks[c]) if ranked else leaf)
+                found.append((leaf, ranks[c] if ranked else None, weight))
         for k in (corner, settled):  # leave entries as the search left them
             if k is not None:
                 entries[k] = 0
 
-    _search(n, field, visit)
+    search(n, field, visit)
     return found
+
+
+def search_leaves(n: int, field, ranked: bool = False) -> list:
+    """Every square-zero X the copied search finds, in its order, as its
+    row-major entry tuple (with its rank, if ``ranked``)."""
+    leaves = expand_leaves(previous_bulk_search, n, field, ranked)
+    return [(leaf, rank) if ranked else leaf for leaf, rank, _ in leaves]
+
+
+def torus_leaves(n: int, field, ranked: bool = False) -> list:
+    """Every weighted leaf (X, rank, weight) of the torus search, in its
+    order: each stands for ``weight`` solutions, one per scaling of its
+    normalised entries."""
+    return expand_leaves(_search, n, field, ranked)
 
 
 class TestSquareIsZero:
@@ -488,20 +619,36 @@ def previous_leaves(n: int, field, ranked: bool = False) -> list:
 SEARCH_GRID = sorted(set(PREVIOUS_GRID) | {(7, 2), (6, 3), (5, 5), (4, 16), (5, 7)})
 
 
+@lru_cache(maxsize=None)
+def previous_bulk_count(n: int, q: int) -> int:
+    """count_square_zero(n, q) by the copied search, as _enumerate runs it."""
+    return q * previous_bulk_search(n, FiniteField(q)) if n > 1 else 1
+
+
+@lru_cache(maxsize=None)
+def previous_bulk_ranks(n: int, q: int) -> dict:
+    """count_by_rank(n, q) by the copied search and rank visitor."""
+    if n == 1:
+        return {0: 1}
+    field, ranks = FiniteField(q), Counter()
+    previous_bulk_search(n, field, previous_last_column_ranks(ranks, n, field))
+    return dict(sorted(ranks.items()))
+
+
 class TestAgainstPreviousSearch:
-    """The bulk-settling search against the search it replaced."""
+    """The copied bulk-settling search against the search it replaced."""
 
     @pytest.mark.parametrize("n,q", SEARCH_GRID, ids=lambda v: str(v))
     def test_same_count_and_rank_table(self, n, q):
         total = previous_enumerate(n, q, False)
-        assert count_square_zero(n, q, budget=10**9) == total
+        assert previous_bulk_count(n, q) == total
         ranks = previous_enumerate(n, q, True)
-        assert count_by_rank(n, q, budget=10**9) == dict(sorted(ranks.items()))
+        assert previous_bulk_ranks(n, q) == dict(sorted(ranks.items()))
         if n > 1:  # the ranked search counts as it ranks
-            assert q * _search(n, FiniteField(q), lambda *prefix: None) == total
+            assert q * previous_bulk_search(n, FiniteField(q), lambda *prefix: None) == total
 
     def test_same_count_at_8_2(self):
-        assert count_square_zero(8, 2, budget=10**9) == previous_enumerate(8, 2, False)
+        assert previous_bulk_count(8, 2) == previous_enumerate(8, 2, False)
 
     @pytest.mark.parametrize("ranked", [False, True], ids=["count", "ranked"])
     @pytest.mark.parametrize(
@@ -518,12 +665,12 @@ class TestAgainstPreviousSearch:
     def test_n_up_to_three(self, q):
         # n = 3 has no (2, n-1), so (0, 1) settles (1, 2); n = 2 has no (1, n-1)
         field = FiniteField(q)
-        assert _search(2, field) == 1 and _search(3, field) == 2 * q - 1
+        assert previous_bulk_search(2, field) == 1 and previous_bulk_search(3, field) == 2 * q - 1
         assert search_leaves(2, field, True) == [((c,), int(c != 0)) for c in range(q)]
         assert search_leaves(3, field) == previous_leaves(3, field)
         xs = []
         visit = lambda entries, basis, roots: xs.append((entries[0], roots))
-        assert _search(3, field, visit) == 2 * q - 1
+        assert previous_bulk_search(3, field, visit) == 2 * q - 1
         assert xs == [(0, tuple(range(q)))] + [(y, (0,)) for y in range(1, q)]
 
 
@@ -558,21 +705,37 @@ def bulk_branches(n: int, field, entries, basis, xs) -> set:
     return seen
 
 
+def rule_at_weight(torus: bool, ranks: Counter, n: int, field, weight: int = 1):
+    """A three-argument visitor: the copied rank visitor (``weight`` 1), or
+    the torus search's, called with ``weight``."""
+    if not torus:
+        assert weight == 1
+        return previous_last_column_ranks(ranks, n, field)
+    rule = _last_column_ranks(ranks, n, field)
+    return lambda entries, basis, xs: rule(entries, basis, xs, weight)
+
+
+def times(weight: int, counts: Counter) -> Counter:
+    return Counter({k: weight * v for k, v in counts.items()})
+
+
 @lru_cache(maxsize=None)
-def corner_rule_branches(n: int, q: int) -> frozenset:
+def corner_rule_branches(n: int, q: int, torus: bool = False) -> frozenset:
     """Check the bulk rule, one visitor for the whole search, against the
     per-(x, c) ranks and against the previous corner rule at each x, at
     every prefix of (n, q); return the branches taken: per x, by how many
     corner values keep the rank of columns 0..n-2, "none", "all" or "one",
-    and the bulk rule's (bulk_branches)."""
+    and the bulk rule's (bulk_branches).  The copied search and rule, or
+    with ``torus`` the torus search and its rule, whose counts must be the
+    prefix's weight times the per-(x, c) ones."""
     field, column = FiniteField(q), last_column(n)
     settled = fill_positions(n).get((1, n - 1))  # None at n = 2
     ranks, seen = Counter(), set()
-    rule = _last_column_ranks(ranks, n, field)
+    search = _search if torus else previous_bulk_search
 
-    def visit(entries, basis, xs):
+    def visit(entries, basis, xs, weight=1):
         before = Counter(ranks)
-        rule(entries, basis, xs)
+        rule_at_weight(torus, ranks, n, field, weight)(entries, basis, xs)
         seen.update(bulk_branches(n, field, entries, basis, xs))
         per_xc, per_x = Counter(), Counter()
         for x in xs:
@@ -585,27 +748,75 @@ def corner_rule_branches(n: int, q: int) -> frozenset:
             seen.add("none" if kept == 0 else "all" if kept == q else "one")
         if settled is not None:
             entries[settled] = 0
-        assert ranks - before == per_xc == per_x, (entries, xs)
+        assert ranks - before == times(weight, per_xc) == times(weight, per_x), (entries, xs)
 
-    _search(n, field, visit)
+    search(n, field, visit)
     return frozenset(seen)
+
+
+def check_rule_on_random_columns(torus: bool, data) -> None:
+    """The bulk rule against the per-(x, c) ranks on a random basis and
+    random prefixes of one basis: the copied rule, or with ``torus`` the
+    torus search's at a random weight."""
+    q = data.draw(st.sampled_from(SUPPORTED_ORDERS), label="q")
+    rows = data.draw(st.integers(1, 6), label="rows")  # n - 1
+    field, elements = FiniteField(q), st.integers(0, q - 1)
+    vectors = st.lists(elements, min_size=rows, max_size=rows)
+    columns = data.draw(st.lists(vectors, max_size=rows), label="columns")
+    for unit in range(min(rows, 2)):
+        if data.draw(st.booleans(), label=f"e{unit} in span"):
+            e = [int(i == unit) for i in range(rows)]
+            columns.insert(data.draw(st.integers(0, len(columns))), e)
+    basis = ()
+    for c in columns:
+        basis = _extend(basis, c[:], field)
+    weight = data.draw(st.integers(1, 10**6), label="weight") if torus else 1
+    ranks = Counter()
+    rule = rule_at_weight(torus, ranks, rows + 1, field, weight)
+    for _ in range(data.draw(st.integers(1, 3), label="prefixes")):  # one basis, many v0
+        if data.draw(st.booleans(), label="w in span"):
+            w = [0] * rows
+            for c in columns:
+                times_c = field.mul[data.draw(elements)]
+                w = [field.add[x][times_c[y]] for x, y in zip(w, c)]
+        else:
+            w = data.draw(vectors, label="w")
+        xs = {0}  # n = 2, with no (1, n-1), has xs = (0,) in the search
+        if rows > 1:
+            xs = set(data.draw(st.lists(elements, max_size=q), label="xs"))
+            if data.draw(st.booleans(), label="w[1] in xs"):
+                xs.add(w[1])
+        xs = tuple(sorted(xs))
+        v0 = [0] * min(rows, 2) + w[2:]
+        expected = Counter()
+        for x in xs:
+            column = v0[:]
+            if rows > 1:
+                column[1] = x
+            expected += Counter(previous_corner_ranks(column, basis, range(rows), field))
+        before = Counter(ranks)
+        rule(v0[::-1], basis, xs)  # fill order: bottom up
+        assert ranks - before == times(weight, expected)
 
 
 class TestCornerRule:
     """The corner rule extended to (1, n-1): one reduction of v0 and one of
     e1 per basis, row 0 cleared, rank every (x, c) of a prefix as the
-    per-(x, c) reductions and the previous corner rule at each x do."""
+    per-(x, c) reductions and the previous corner rule at each x do.  Run
+    on the copied search and rule."""
+
+    torus = False
 
     @pytest.mark.parametrize("n,q", CORNER_GRID, ids=lambda v: str(v))
     def test_equals_the_per_corner_ranks_at_every_prefix(self, n, q):
-        assert corner_rule_branches(n, q)  # it asserts at each prefix
+        assert corner_rule_branches(n, q, self.torus)  # it asserts at each prefix
 
     def test_all_three_branches_occur(self):
-        seen = set().union(*(corner_rule_branches(n, q) for n, q in CORNER_GRID))
+        seen = set().union(*(corner_rule_branches(n, q, self.torus) for n, q in CORNER_GRID))
         assert seen & CORNER_BRANCHES == CORNER_BRANCHES
 
     def test_every_bulk_branch_occurs(self):
-        seen = set().union(*(corner_rule_branches(n, q) for n, q in CORNER_GRID))
+        seen = set().union(*(corner_rule_branches(n, q, self.torus) for n, q in CORNER_GRID))
         assert seen & BULK_BRANCHES == BULK_BRANCHES
 
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -613,54 +824,121 @@ class TestCornerRule:
         # In the search, L0 + x*L1 = 0 makes x* a root: row 0 of X is
         # orthogonal to the span of columns 0..n-2.  So only a direct call
         # reaches x* outside xs: here v0 = 0 and L1 = e1, so x* = 0.
+        weight = q - 1 if self.torus else 1
         for xs in [(1,), tuple(range(1, q)), (0,)]:
             ranks = Counter()
-            _last_column_ranks(ranks, 3, FiniteField(q))([0, 0, 0], (), xs)
+            rule_at_weight(self.torus, ranks, 3, FiniteField(q), weight)([0, 0, 0], (), xs)
             expected = Counter()
             for x in xs:
                 expected += Counter(previous_corner_ranks([0, x], (), range(2), FiniteField(q)))
-            assert ranks == expected, xs
+            assert ranks == times(weight, expected), xs
 
     @given(st.data())
     def test_equals_the_per_corner_ranks_on_random_columns(self, data):
-        q = data.draw(st.sampled_from(SUPPORTED_ORDERS), label="q")
-        rows = data.draw(st.integers(1, 6), label="rows")  # n - 1
-        field, elements = FiniteField(q), st.integers(0, q - 1)
-        vectors = st.lists(elements, min_size=rows, max_size=rows)
-        columns = data.draw(st.lists(vectors, max_size=rows), label="columns")
-        for unit in range(min(rows, 2)):
-            if data.draw(st.booleans(), label=f"e{unit} in span"):
-                e = [int(i == unit) for i in range(rows)]
-                columns.insert(data.draw(st.integers(0, len(columns))), e)
-        basis = ()
-        for c in columns:
-            basis = _extend(basis, c[:], field)
-        ranks = Counter()
-        rule = _last_column_ranks(ranks, rows + 1, field)
-        for _ in range(data.draw(st.integers(1, 3), label="prefixes")):  # one basis, many v0
-            if data.draw(st.booleans(), label="w in span"):
-                w = [0] * rows
-                for c in columns:
-                    times = field.mul[data.draw(elements)]
-                    w = [field.add[x][times[y]] for x, y in zip(w, c)]
-            else:
-                w = data.draw(vectors, label="w")
-            xs = {0}  # n = 2, with no (1, n-1), has xs = (0,) in the search
-            if rows > 1:
-                xs = set(data.draw(st.lists(elements, max_size=q), label="xs"))
-                if data.draw(st.booleans(), label="w[1] in xs"):
-                    xs.add(w[1])
-            xs = tuple(sorted(xs))
-            v0 = [0] * min(rows, 2) + w[2:]
-            expected = Counter()
-            for x in xs:
-                column = v0[:]
-                if rows > 1:
-                    column[1] = x
-                expected += Counter(previous_corner_ranks(column, basis, range(rows), field))
-            before = Counter(ranks)
-            rule(v0[::-1], basis, xs)  # fill order: bottom up
-            assert ranks - before == expected
+        check_rule_on_random_columns(False, data)
+
+
+class TestTorusCornerRule(TestCornerRule):
+    """The same checks on the torus search and its rank visitor, which
+    reads L1 off the basis's pivots and scales its counts by the prefix's
+    weight."""
+
+    torus = True
+
+    @given(st.data())  # its own, as Hypothesis runs each test on one class
+    def test_equals_the_per_corner_ranks_on_random_columns(self, data):
+        check_rule_on_random_columns(True, data)
+
+
+# The odometer points whose weighted leaves, each expanded by all (q-1)^n
+# diagonal D, make at most 5 * 10^5 matrices.
+EXPANSION_GRID = [
+    (n, q) for n, q in DIFFERENTIAL_GRID if (q - 1) ** n * closed_form(n).eval_at(q) <= 5 * 10**5
+]
+TORUS_GRID = sorted(set(SEARCH_GRID) | {(8, 2)})
+
+
+def forest_edges(n: int, entries) -> list:
+    """The nonzero entries of a prefix, in fill order, that join two
+    components of the entries before them, as (position, value)."""
+    label = list(range(n))
+    edges = []
+    for (i, j), k in sorted(fill_positions(n).items(), key=lambda item: item[1]):
+        if entries[k] and label[i] != label[j]:
+            edges.append((k, entries[k]))
+            old = label[j]
+            label = [label[i] if t == old else t for t in label]
+    return edges
+
+
+class TestTorusQuotient:
+    """The search takes each orbit of the diagonal torus on its prefixes
+    once: a new forest edge is tried at 0 and at 1 alone, and 1 weighs
+    q - 1.  Its weighted leaves must expand to the odometer's solutions,
+    and its counts and rank tables must be the copied search's."""
+
+    @pytest.mark.parametrize("n,q", EXPANSION_GRID, ids=str)
+    def test_weighted_leaves_expand_to_each_solution_once(self, n, q):
+        # credit D.L with w / (q-1)^n for every D in (GF(q)*)^n: a leaf of
+        # weight w stands for w solutions, which make up its orbit when D
+        # fixes nothing else, so each solution must total exactly 1
+        field = FiniteField(q)
+        cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        scalings = [  # per D, the mul row of d_i / d_j for each (i, j)
+            tuple(field.mul[field.mul[d[i]][field.inv(d[j])]] for i, j in cells)
+            for d in itertools.product(range(1, q), repeat=n)
+        ]
+        credit = Counter()
+        for leaf, _, weight in torus_leaves(n, field):
+            share = Fraction(weight, (q - 1) ** n)
+            for rows in scalings:
+                credit[tuple(map(operator.getitem, rows, leaf))] += share
+        assert set(credit) == odometer_solutions(n, q)
+        assert set(credit.values()) == {1}
+
+    def test_expansion_grid_reaches_past_q_2(self):
+        assert {(4, 3), (4, 4), (4, 5), (3, 9)} <= set(EXPANSION_GRID)
+
+    @pytest.mark.parametrize("n,q", SEARCH_GRID, ids=lambda v: str(v))
+    def test_each_prefix_is_normalised_and_weighs_q_minus_1_per_edge(self, n, q):
+        if n == 1:
+            return
+        prefixes = []
+
+        def visit(entries, basis, xs, weight):
+            edges = forest_edges(n, entries)
+            assert all(value == 1 for _, value in edges), entries
+            assert weight == (q - 1) ** len(edges), (entries, weight)
+            prefixes.append(tuple(entries))
+
+        _search(n, FiniteField(q), visit)
+        assert len(prefixes) == len(set(prefixes)), "a prefix was visited twice"
+
+    @pytest.mark.parametrize("n,q", TORUS_GRID, ids=lambda v: str(v))
+    def test_same_count_and_rank_table_as_the_copied_search(self, n, q):
+        total = previous_bulk_count(n, q)
+        assert count_square_zero(n, q, budget=10**9) == total
+        assert count_by_rank(n, q, budget=10**9) == previous_bulk_ranks(n, q)
+        if n > 1:  # the ranked search counts as it ranks
+            assert q * _search(n, FiniteField(q), lambda *prefix: None) == total
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_q_2_is_the_copied_search_leaf_for_leaf(self, n):
+        field = FiniteField(2)
+        expected = expand_leaves(previous_bulk_search, n, field, True)
+        assert torus_leaves(n, field, True) == expected
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_n_up_to_three(self, q):
+        # (0, 1) admits every value and joins 0 and 1: it is tried at 0 and
+        # at 1 alone, and 1 weighs q - 1
+        field = FiniteField(q)
+        assert _search(2, field) == 1 and _search(3, field) == 2 * q - 1
+        visits = []
+        visit = lambda entries, basis, xs, weight: visits.append((entries[0], xs, weight))
+        assert _search(3, field, visit) == 2 * q - 1
+        assert visits == [(0, tuple(range(q)), 1), (1, (0,), q - 1)]
+        assert torus_leaves(2, field, True) == [((c,), int(c != 0), 1) for c in range(q)]
 
 
 class TestPivotConvention:
@@ -693,6 +971,23 @@ class TestPivotConvention:
                 block = [row[: j + 1] for row in rows[i:]]
                 assert sum(p >= i for p in pivots) == _rank_of_rows(block, field), (i, j)
 
+    @given(st.data())
+    def test_e1_reduces_to_zero_or_to_itself(self, data):
+        # what _last_column_ranks reads off the pivots in place of reducing e1
+        q = data.draw(st.sampled_from(SUPPORTED_ORDERS), label="q")
+        rows = data.draw(st.integers(2, 7), label="rows")
+        field, elements = FiniteField(q), st.just(0) | st.integers(0, q - 1)
+        vectors = st.lists(elements, min_size=rows, max_size=rows)
+        basis = ()
+        for column in data.draw(st.lists(vectors, max_size=rows), label="columns"):
+            basis = _extend(basis, column, field)
+        left = _reduce([int(i == 1) for i in range(rows)], basis, field)
+        left[0] = 0
+        if any(p == 1 for p, _ in basis):
+            assert not any(left)
+        else:
+            assert left == [int(i == 1) for i in range(rows)]
+
 
 def public_names(f: FiniteField):
     return types.SimpleNamespace(q=f.q, add=f.add, mul=f.mul, neg=f.neg, inv=f.inv)
@@ -705,7 +1000,7 @@ class TestPublicInterface:
     @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2), (5, 3)], ids=lambda v: str(v))
     def test_a_proxy_of_the_public_names_gives_the_same_leaves(self, n, q):
         f = FiniteField(q)
-        real, seen = search_leaves(n, f, ranked=True), search_leaves(n, public_names(f), ranked=True)
+        real, seen = torus_leaves(n, f, ranked=True), torus_leaves(n, public_names(f), ranked=True)
         for k, (old, new) in enumerate(itertools.zip_longest(real, seen)):
             assert new == old, f"leaf {k}"
 
@@ -717,13 +1012,13 @@ class TestPublicInterface:
 
 
 class TestTrackedRank:
-    """The rank carried down the search against a full elimination of each
-    leaf, at points beyond the odometer grid."""
+    """The rank carried down the torus search against a full elimination of
+    each weighted leaf, at points beyond the odometer grid."""
 
-    @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2)], ids=lambda v: str(v))
+    @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2), (6, 3)], ids=lambda v: str(v))
     def test_every_leaf_rank_equals_matrix_rank(self, n, q):
         field = FiniteField(q)
-        for entries, rank in search_leaves(n, field, ranked=True):
+        for entries, rank, _ in torus_leaves(n, field, ranked=True):
             assert rank == matrix_rank(StrictUpperMatrix(n, entries), field), entries
 
 
