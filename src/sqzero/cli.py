@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from itertools import islice
 
 from . import counting, oracle
@@ -193,6 +194,7 @@ def _parse_q_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+@cache  # one parser per process, built by the first main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqzero",

@@ -420,3 +420,17 @@ class TestParserPlumbing:
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         method = next(a for a in commands.choices["compute"]._actions if a.dest == "method")
         assert list(method.choices) == list(counting.ENGINES)
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            if kwargs.get("prog") == "sqzero":  # not a subcommand's parser
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(2):
+            assert run(capsys, "table", "--n-max", "1")[0] == 0
+        assert len(built) == 1

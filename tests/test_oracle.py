@@ -1,18 +1,21 @@
 """The enumeration oracle: frozen counts, budget guard, determinism.
 
-The oracle's references live here, not in the package: a matrix type,
-X^2 = 0 from field add and mul in row-major order, and the rank by
-Gaussian elimination.  None of them uses the search's fill order or its
-incremental checks, so they stay independent of the code they check.  The
-fill order the search stores X in is defined here on its own
-(fill_positions), so each leaf maps back to its row-major tuple.  The
-search as it stood before its checks read the field's tables directly, the
-corner rank step as it stood before one reduction ranked all q corner
-values, the search and corner rule as they stood before the last checked
-entry was settled in bulk, and the search and rank visitor as they stood
-before the search took each diagonal-torus orbit once, are kept here too,
-so the rewritten kernels can be held to the same leaves in the same order,
-or, for the torus search, to the same counts and rank tables.
+The oracle's references live here, not in the package.  The independent
+ones share no step with the search: a matrix type, X^2 = 0 from field add
+and mul in row-major order, the odometer that tries every candidate, the
+rank by Gaussian elimination (matrix_rank), and the echelon basis and
+corner rank step as they stood before each basis vector was pivoted at
+its last nonzero row and one reduction ranked all q corner values
+(previous_reduce, previous_extend, previous_corner_ranks).  The fill order
+the search stores X in is defined here on its own (fill_positions), so
+each leaf maps back to its row-major tuple.
+
+One earlier search is kept: the search and its rank visitor as they stood
+before the search took each diagonal-torus orbit once
+(previous_bulk_search, previous_last_column_ranks).  The odometer and full
+elimination anchor it leaf for leaf, and the torus search must match its
+counts and rank tables, and at q = 2 its leaves in order.  When the search
+is rewritten, the search it replaces takes this copy's place.
 """
 
 import itertools
@@ -22,7 +25,7 @@ import sys
 import types
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,7 +34,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sqzero
-from sqzero.counting import closed_form
+from sqzero.counting import closed_form, recurrence_table
 from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
     BudgetExceededError,
@@ -292,6 +295,34 @@ def torus_leaves(n: int, field, ranked: bool = False) -> list:
     return expand_leaves(_search, n, field, ranked)
 
 
+@lru_cache(maxsize=None)
+def previous_bulk_count(n: int, q: int) -> int:
+    """count_square_zero(n, q) by the copied search, as _enumerate runs it."""
+    return q * previous_bulk_search(n, FiniteField(q)) if n > 1 else 1
+
+
+@lru_cache(maxsize=None)
+def previous_bulk_ranks(n: int, q: int) -> dict:
+    """count_by_rank(n, q) by the copied search and rank visitor."""
+    if n == 1:
+        return {0: 1}
+    field, ranks = FiniteField(q), Counter()
+    previous_bulk_search(n, field, previous_last_column_ranks(ranks, n, field))
+    return dict(sorted(ranks.items()))
+
+
+# Every (n, q) whose q^(n(n-1)/2) candidates the odometer walks in moments.
+DIFFERENTIAL_GRID = [
+    (n, q) for q in SUPPORTED_ORDERS for n in range(1, 8) if q ** (n * (n - 1) // 2) <= 120_000
+]
+# Points past it that the search reaches in moments.
+BEYOND_ODOMETER = [(5, 4), (4, 9), (6, 3), (7, 2), (5, 5), (4, 16), (5, 7)]
+SEARCH_GRID = sorted(set(DIFFERENTIAL_GRID) | set(BEYOND_ODOMETER))
+CORNER_GRID = sorted(
+    {(n, q) for n, q in DIFFERENTIAL_GRID if n > 1} | {(5, 4), (4, 9), (6, 3), (5, 5), (4, 16)}
+)
+
+
 class TestSquareIsZero:
     def test_two_by_two_always_squares_to_zero(self):
         f = FiniteField(5)
@@ -327,10 +358,9 @@ class TestCounts:
         assert count_square_zero(4, 2) == 28
         assert count_square_zero(3, 3) == 15
 
-    def test_agreement_with_closed_form(self):
-        for q in (2, 3):
-            for n in range(1, 5):
-                assert count_square_zero(n, q) == closed_form(n).eval_at(q)
+    @pytest.mark.parametrize("n,q", SEARCH_GRID, ids=str)
+    def test_agreement_with_closed_form(self, n, q):
+        assert count_square_zero(n, q, budget=10**9) == closed_form(n).eval_at(q)
 
     def test_unsupported_field_rejected(self):
         with pytest.raises(ValueError, match="not a supported prime power"):
@@ -362,6 +392,16 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             count_square_zero(3, 2, budget=7)
 
+    @pytest.mark.parametrize("n,q", SEARCH_GRID, ids=str)
+    def test_guard_is_exact_at_every_point(self, n, q):
+        # a budget of q^(n(n-1)/2) candidates runs; one less is refused
+        required = q ** (n * (n - 1) // 2)
+        assert count_square_zero(n, q, budget=required) == closed_form(n).eval_at(q)
+        for count in (count_square_zero, count_by_rank):
+            with pytest.raises(BudgetExceededError) as excinfo:
+                count(n, q, budget=required - 1)
+            assert excinfo.value.required == required
+
 
 class TestRanks:
     def test_frozen_rank_tables(self):
@@ -374,6 +414,13 @@ class TestRanks:
         ranks = count_by_rank(n, q)
         assert sum(ranks.values()) == count_square_zero(n, q)
         assert all(c > 0 for c in ranks.values())
+
+    @pytest.mark.parametrize("n,q", SEARCH_GRID, ids=str)
+    def test_each_rank_count_is_the_recurrence_entry(self, n, q):
+        # t(n, r) at q for every r <= n/2, each of which occurs
+        row = recurrence_table(n)[n]
+        expected = {r: entry.eval_at(q) for r, entry in enumerate(row)}
+        assert count_by_rank(n, q, budget=10**9) == expected
 
     def test_matrix_rank(self):
         f = FiniteField(3)
@@ -404,26 +451,29 @@ def odometer_solutions(n, q):
     )
 
 
-# Every (n, q) whose q^(n(n-1)/2) candidates the odometer walks in moments.
-DIFFERENTIAL_GRID = [
-    (n, q) for q in SUPPORTED_ORDERS for n in range(1, 8) if q ** (n * (n - 1) // 2) <= 120_000
-]
+@lru_cache(maxsize=None)
+def odometer_ranks(n, q) -> dict:
+    """Each odometer solution's rank, by full elimination."""
+    field = FiniteField(q)
+    return {e: matrix_rank(StrictUpperMatrix(n, e), field) for e in odometer_solutions(n, q)}
 
 
 class TestAgainstOdometer:
     @pytest.mark.parametrize("n,q", DIFFERENTIAL_GRID, ids=lambda v: str(v))
     def test_same_solution_matrices(self, n, q):
-        found = search_leaves(n, FiniteField(q))
-        assert len(found) == len(set(found)), "a matrix was counted twice"
-        assert set(found) == odometer_solutions(n, q)
+        # the copied search's leaves, each ranked from the basis it carries
+        found = search_leaves(n, FiniteField(q), ranked=True)
+        assert len(found) == len({leaf for leaf, _ in found}), "a matrix was counted twice"
+        assert dict(found) == odometer_ranks(n, q)
+
+    @pytest.mark.parametrize("n,q", DIFFERENTIAL_GRID, ids=lambda v: str(v))
+    def test_same_count(self, n, q):
+        # the count-only search, which ranks nothing
+        assert count_square_zero(n, q) == len(odometer_solutions(n, q))
 
     @pytest.mark.parametrize("n,q", DIFFERENTIAL_GRID, ids=lambda v: str(v))
     def test_same_rank_counts(self, n, q):
-        field = FiniteField(q)
-        reference = Counter(
-            matrix_rank(StrictUpperMatrix(n, entries), field) for entries in odometer_solutions(n, q)
-        )
-        assert count_by_rank(n, q) == dict(reference)
+        assert count_by_rank(n, q) == dict(Counter(odometer_ranks(n, q).values()))
 
     @pytest.mark.parametrize("n,q", [(4, 3), (5, 2)])
     def test_results_identical_for_one_two_and_three_workers(self, n, q):
@@ -433,35 +483,10 @@ class TestAgainstOdometer:
         assert ranks[2] == ranks[3] == ranks[1]
 
 
-# The search as it stood before each check's fixed part was summed once per
-# node and the field's tables were bound once: copied unchanged but for the
-# names and for field arithmetic written as table lookups, as the reference
-# the rewritten kernel must match leaf for leaf.
-@lru_cache(maxsize=None)
-def previous_fill_order(n: int) -> tuple:
-    index = {ij: k for k, ij in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
-    return tuple(
-        (
-            index[i, j],
-            tuple((index[i, t], index[t, j]) for t in range(i + 1, j)),
-            (j, tuple(index[t, j] for t in range(j))) if i == 0 else None,
-        )
-        for j in range(n)
-        for i in range(j - 1, -1, -1)
-    )
-
-
-def previous_square_entry(entries, field: FiniteField, pairs) -> int:
-    acc = 0
-    for u, v in pairs:
-        x = entries[u]
-        if x:
-            y = entries[v]
-            if y:
-                acc = field.add[acc][field.mul[x][y]]
-    return acc
-
-
+# The echelon basis and the corner rank step as they stood before each
+# basis vector was pivoted at its last nonzero row and one reduction ranked
+# all q corner values: they share no step with the rank visitor, so they
+# are the references it and the pivot convention are checked against.
 def previous_reduce(column: list[int], basis, field: FiniteField) -> list[int]:
     for p, vector in basis:
         c = column[p]
@@ -491,190 +516,6 @@ def previous_corner_ranks(entries: list[int], basis, column, field: FiniteField)
         yield len(basis) + any(previous_reduce(last[:], basis, field))
 
 
-def previous_solutions(n: int, field: FiniteField, ranked: bool = False):
-    order = previous_fill_order(n)
-    entries = [0] * len(order)
-    if not order:
-        yield (entries, 0) if ranked else entries
-        return
-    last = len(order) - 1
-    basis = [()] * n  # basis[j]: echelon basis of columns 0..j
-    tries = [iter(range(field.q))]  # (0, 1) has nothing to check
-    while tries:
-        depth = len(tries) - 1
-        pos = order[depth][0]
-        for x in tries[depth]:
-            entries[pos] = x
-            if depth == last:
-                if ranked:
-                    j, column = order[depth][2]
-                    left = previous_reduce([entries[k] for k in column], basis[j - 1], field)
-                    yield entries, len(basis[j - 1]) + any(left)
-                else:
-                    yield entries
-            elif not previous_square_entry(entries, field, order[depth + 1][1]):
-                if ranked and order[depth][2]:
-                    j, column = order[depth][2]
-                    basis[j] = previous_extend(basis[j - 1], [entries[k] for k in column], field)
-                tries.append(iter(range(field.q)))
-                break
-        else:
-            tries.pop()
-
-
-PREVIOUS_GRID = sorted(set(DIFFERENTIAL_GRID) | {(5, 4), (4, 9), (6, 2), (6, 3)})
-
-
-class TestAgainstPreviousKernel:
-    @pytest.mark.parametrize("ranked", [False, True], ids=["count", "ranked"])
-    @pytest.mark.parametrize("n,q", PREVIOUS_GRID, ids=lambda v: str(v))
-    def test_same_leaves_in_the_same_order(self, n, q, ranked):
-        field = FiniteField(q)
-        previous = (
-            (tuple(leaf[0]), leaf[1]) if ranked else tuple(leaf)
-            for leaf in previous_solutions(n, field, ranked)
-        )
-        pairs = itertools.zip_longest(search_leaves(n, field, ranked), previous)
-        for k, (new, old) in enumerate(pairs):
-            assert new == old, f"leaf {k}"
-
-
-# The search, its corner rank step and the two branches of _enumerate that
-# ran it, as they stood before the last checked entry was settled in bulk:
-# copied unchanged but for the names, as the reference the rewritten search
-# must match count for count, rank table for rank table and leaf for leaf.
-def previous_corner_rule(ranks: Counter, n: int, field: FiniteField, entries, basis) -> None:
-    rank = len(basis)
-    left = _reduce(entries[-1:-n:-1], basis, field)
-    left[0] = 0
-    if any(left):
-        ranks[rank + 1] += field.q
-    elif (0, ((0, 1),)) in basis:
-        ranks[rank] += field.q
-    else:
-        ranks[rank] += 1
-        ranks[rank + 1] += field.q - 1
-
-
-def previous_search(n: int, field: FiniteField, visit, ranked: bool = False) -> None:
-    order = _fill_order(n)
-    entries = [0] * len(order)
-    basis = [()] * (n - 1)
-    add, mul, values, roots = field.add, field.mul, range(field.q), _roots(field)
-    corner = len(order) - 1
-
-    def fill(depth: int) -> None:
-        if depth >= corner:
-            visit(entries, basis[n - 2])
-            return
-        check, j = order[depth]
-        choices = values
-        if check:
-            a, pairs = check
-            s = 0
-            for u, v in pairs:
-                s = add[s][mul[entries[u]][entries[v]]]
-            choices = roots[entries[a]][s]
-        for x in choices:
-            entries[depth] = x
-            if ranked and j:
-                basis[j] = _extend(basis[j - 1], entries[depth - j + 1 : depth + 1][::-1], field)
-            fill(depth + 1)
-
-    fill(0)
-
-
-def previous_enumerate(n: int, q: int, by_rank: bool):
-    field = FiniteField(q)
-    if n == 1:
-        return Counter({0: 1}) if by_rank else 1
-    if not by_rank:
-        prefixes = itertools.count()
-        previous_search(n, field, lambda entries, basis: next(prefixes))
-        return q * next(prefixes)
-    ranks = Counter()
-    previous_search(n, field, partial(previous_corner_rule, ranks, n, field), True)
-    return ranks
-
-
-def previous_leaves(n: int, field, ranked: bool = False) -> list:
-    """search_leaves through previous_search, whose visitor expands each
-    prefix into its q corner values alone."""
-    if n == 1:
-        return [((), 0) if ranked else ()]
-    found, place, column = [], fill_positions(n), last_column(n)
-    row_major = [place[i, j] for i in range(n) for j in range(i + 1, n)]
-
-    def visit(entries, basis):
-        ranks = list(previous_corner_ranks(entries, basis, column, field)) if ranked else None
-        for c in range(field.q):
-            entries[place[0, n - 1]] = c
-            leaf = tuple(entries[k] for k in row_major)
-            found.append((leaf, ranks[c]) if ranked else leaf)
-
-    previous_search(n, field, visit, ranked)
-    return found
-
-
-SEARCH_GRID = sorted(set(PREVIOUS_GRID) | {(7, 2), (6, 3), (5, 5), (4, 16), (5, 7)})
-
-
-@lru_cache(maxsize=None)
-def previous_bulk_count(n: int, q: int) -> int:
-    """count_square_zero(n, q) by the copied search, as _enumerate runs it."""
-    return q * previous_bulk_search(n, FiniteField(q)) if n > 1 else 1
-
-
-@lru_cache(maxsize=None)
-def previous_bulk_ranks(n: int, q: int) -> dict:
-    """count_by_rank(n, q) by the copied search and rank visitor."""
-    if n == 1:
-        return {0: 1}
-    field, ranks = FiniteField(q), Counter()
-    previous_bulk_search(n, field, previous_last_column_ranks(ranks, n, field))
-    return dict(sorted(ranks.items()))
-
-
-class TestAgainstPreviousSearch:
-    """The copied bulk-settling search against the search it replaced."""
-
-    @pytest.mark.parametrize("n,q", SEARCH_GRID, ids=lambda v: str(v))
-    def test_same_count_and_rank_table(self, n, q):
-        total = previous_enumerate(n, q, False)
-        assert previous_bulk_count(n, q) == total
-        ranks = previous_enumerate(n, q, True)
-        assert previous_bulk_ranks(n, q) == dict(sorted(ranks.items()))
-        if n > 1:  # the ranked search counts as it ranks
-            assert q * previous_bulk_search(n, FiniteField(q), lambda *prefix: None) == total
-
-    def test_same_count_at_8_2(self):
-        assert previous_bulk_count(8, 2) == previous_enumerate(8, 2, False)
-
-    @pytest.mark.parametrize("ranked", [False, True], ids=["count", "ranked"])
-    @pytest.mark.parametrize(
-        "n,q", [(n, q) for n, q in SEARCH_GRID if q ** (n * (n - 1) // 2) <= 10**5], ids=str
-    )
-    def test_same_leaves_in_the_same_order(self, n, q, ranked):
-        field = FiniteField(q)
-        found, reference = search_leaves(n, field, ranked), previous_leaves(n, field, ranked)
-        pairs = itertools.zip_longest(found, reference)
-        for k, (new, old) in enumerate(pairs):
-            assert new == old, f"leaf {k}"
-
-    @pytest.mark.parametrize("q", [2, 3, 4, 9])
-    def test_n_up_to_three(self, q):
-        # n = 3 has no (2, n-1), so (0, 1) settles (1, 2); n = 2 has no (1, n-1)
-        field = FiniteField(q)
-        assert previous_bulk_search(2, field) == 1 and previous_bulk_search(3, field) == 2 * q - 1
-        assert search_leaves(2, field, True) == [((c,), int(c != 0)) for c in range(q)]
-        assert search_leaves(3, field) == previous_leaves(3, field)
-        xs = []
-        visit = lambda entries, basis, roots: xs.append((entries[0], roots))
-        assert previous_bulk_search(3, field, visit) == 2 * q - 1
-        assert xs == [(0, tuple(range(q)))] + [(y, (0,)) for y in range(1, q)]
-
-
-CORNER_GRID = sorted(set(PREVIOUS_GRID) - {(1, q) for q in SUPPORTED_ORDERS} | {(5, 5), (4, 16)})
 CORNER_BRANCHES = {"none", "one", "all"}
 BULK_BRANCHES = {
     "L1 = 0, L0 = 0",
@@ -705,118 +546,58 @@ def bulk_branches(n: int, field, entries, basis, xs) -> set:
     return seen
 
 
-def rule_at_weight(torus: bool, ranks: Counter, n: int, field, weight: int = 1):
-    """A three-argument visitor: the copied rank visitor (``weight`` 1), or
-    the torus search's, called with ``weight``."""
-    if not torus:
-        assert weight == 1
-        return previous_last_column_ranks(ranks, n, field)
-    rule = _last_column_ranks(ranks, n, field)
-    return lambda entries, basis, xs: rule(entries, basis, xs, weight)
-
-
 def times(weight: int, counts: Counter) -> Counter:
     return Counter({k: weight * v for k, v in counts.items()})
 
 
 @lru_cache(maxsize=None)
-def corner_rule_branches(n: int, q: int, torus: bool = False) -> frozenset:
-    """Check the bulk rule, one visitor for the whole search, against the
-    per-(x, c) ranks and against the previous corner rule at each x, at
-    every prefix of (n, q); return the branches taken: per x, by how many
+def corner_rule_branches(n: int, q: int) -> frozenset:
+    """Check the search's rank visitor, one for the whole search, against
+    the per-(x, c) ranks at every prefix of (n, q), its counts the prefix's
+    weight times theirs; return the branches taken: per x, by how many
     corner values keep the rank of columns 0..n-2, "none", "all" or "one",
-    and the bulk rule's (bulk_branches).  The copied search and rule, or
-    with ``torus`` the torus search and its rule, whose counts must be the
-    prefix's weight times the per-(x, c) ones."""
+    and the bulk rule's (bulk_branches)."""
     field, column = FiniteField(q), last_column(n)
     settled = fill_positions(n).get((1, n - 1))  # None at n = 2
     ranks, seen = Counter(), set()
-    search = _search if torus else previous_bulk_search
+    rule = _last_column_ranks(ranks, n, field)
 
-    def visit(entries, basis, xs, weight=1):
+    def visit(entries, basis, xs, weight):
         before = Counter(ranks)
-        rule_at_weight(torus, ranks, n, field, weight)(entries, basis, xs)
+        rule(entries, basis, xs, weight)
         seen.update(bulk_branches(n, field, entries, basis, xs))
-        per_xc, per_x = Counter(), Counter()
+        per_xc = Counter()
         for x in xs:
             if settled is not None:
                 entries[settled] = x
             per_corner = Counter(previous_corner_ranks(entries, basis, column, field))
-            previous_corner_rule(per_x, n, field, entries, basis)
             per_xc += per_corner
             kept = per_corner[len(basis)]
             seen.add("none" if kept == 0 else "all" if kept == q else "one")
         if settled is not None:
             entries[settled] = 0
-        assert ranks - before == times(weight, per_xc) == times(weight, per_x), (entries, xs)
+        assert ranks - before == times(weight, per_xc), (entries, xs)
 
-    search(n, field, visit)
+    _search(n, field, visit)
     return frozenset(seen)
 
 
-def check_rule_on_random_columns(torus: bool, data) -> None:
-    """The bulk rule against the per-(x, c) ranks on a random basis and
-    random prefixes of one basis: the copied rule, or with ``torus`` the
-    torus search's at a random weight."""
-    q = data.draw(st.sampled_from(SUPPORTED_ORDERS), label="q")
-    rows = data.draw(st.integers(1, 6), label="rows")  # n - 1
-    field, elements = FiniteField(q), st.integers(0, q - 1)
-    vectors = st.lists(elements, min_size=rows, max_size=rows)
-    columns = data.draw(st.lists(vectors, max_size=rows), label="columns")
-    for unit in range(min(rows, 2)):
-        if data.draw(st.booleans(), label=f"e{unit} in span"):
-            e = [int(i == unit) for i in range(rows)]
-            columns.insert(data.draw(st.integers(0, len(columns))), e)
-    basis = ()
-    for c in columns:
-        basis = _extend(basis, c[:], field)
-    weight = data.draw(st.integers(1, 10**6), label="weight") if torus else 1
-    ranks = Counter()
-    rule = rule_at_weight(torus, ranks, rows + 1, field, weight)
-    for _ in range(data.draw(st.integers(1, 3), label="prefixes")):  # one basis, many v0
-        if data.draw(st.booleans(), label="w in span"):
-            w = [0] * rows
-            for c in columns:
-                times_c = field.mul[data.draw(elements)]
-                w = [field.add[x][times_c[y]] for x, y in zip(w, c)]
-        else:
-            w = data.draw(vectors, label="w")
-        xs = {0}  # n = 2, with no (1, n-1), has xs = (0,) in the search
-        if rows > 1:
-            xs = set(data.draw(st.lists(elements, max_size=q), label="xs"))
-            if data.draw(st.booleans(), label="w[1] in xs"):
-                xs.add(w[1])
-        xs = tuple(sorted(xs))
-        v0 = [0] * min(rows, 2) + w[2:]
-        expected = Counter()
-        for x in xs:
-            column = v0[:]
-            if rows > 1:
-                column[1] = x
-            expected += Counter(previous_corner_ranks(column, basis, range(rows), field))
-        before = Counter(ranks)
-        rule(v0[::-1], basis, xs)  # fill order: bottom up
-        assert ranks - before == times(weight, expected)
-
-
 class TestCornerRule:
-    """The corner rule extended to (1, n-1): one reduction of v0 and one of
-    e1 per basis, row 0 cleared, rank every (x, c) of a prefix as the
-    per-(x, c) reductions and the previous corner rule at each x do.  Run
-    on the copied search and rule."""
-
-    torus = False
+    """The corner rule extended to (1, n-1), as the search's rank visitor
+    applies it: one reduction of v0 per prefix, L1 read off the basis's
+    pivots, row 0 cleared, rank every (x, c) of a prefix as the per-(x, c)
+    reductions do, and count each the prefix's weight times."""
 
     @pytest.mark.parametrize("n,q", CORNER_GRID, ids=lambda v: str(v))
     def test_equals_the_per_corner_ranks_at_every_prefix(self, n, q):
-        assert corner_rule_branches(n, q, self.torus)  # it asserts at each prefix
+        assert corner_rule_branches(n, q)  # it asserts at each prefix
 
     def test_all_three_branches_occur(self):
-        seen = set().union(*(corner_rule_branches(n, q, self.torus) for n, q in CORNER_GRID))
+        seen = set().union(*(corner_rule_branches(n, q) for n, q in CORNER_GRID))
         assert seen & CORNER_BRANCHES == CORNER_BRANCHES
 
     def test_every_bulk_branch_occurs(self):
-        seen = set().union(*(corner_rule_branches(n, q, self.torus) for n, q in CORNER_GRID))
+        seen = set().union(*(corner_rule_branches(n, q) for n, q in CORNER_GRID))
         assert seen & BULK_BRANCHES == BULK_BRANCHES
 
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -824,30 +605,57 @@ class TestCornerRule:
         # In the search, L0 + x*L1 = 0 makes x* a root: row 0 of X is
         # orthogonal to the span of columns 0..n-2.  So only a direct call
         # reaches x* outside xs: here v0 = 0 and L1 = e1, so x* = 0.
-        weight = q - 1 if self.torus else 1
+        field, weight = FiniteField(q), q - 1
         for xs in [(1,), tuple(range(1, q)), (0,)]:
             ranks = Counter()
-            rule_at_weight(self.torus, ranks, 3, FiniteField(q), weight)([0, 0, 0], (), xs)
+            _last_column_ranks(ranks, 3, field)([0, 0, 0], (), xs, weight)
             expected = Counter()
             for x in xs:
-                expected += Counter(previous_corner_ranks([0, x], (), range(2), FiniteField(q)))
+                expected += Counter(previous_corner_ranks([0, x], (), range(2), field))
             assert ranks == times(weight, expected), xs
 
     @given(st.data())
     def test_equals_the_per_corner_ranks_on_random_columns(self, data):
-        check_rule_on_random_columns(False, data)
-
-
-class TestTorusCornerRule(TestCornerRule):
-    """The same checks on the torus search and its rank visitor, which
-    reads L1 off the basis's pivots and scales its counts by the prefix's
-    weight."""
-
-    torus = True
-
-    @given(st.data())  # its own, as Hypothesis runs each test on one class
-    def test_equals_the_per_corner_ranks_on_random_columns(self, data):
-        check_rule_on_random_columns(True, data)
+        # a random basis, and random prefixes of one basis at a random weight
+        q = data.draw(st.sampled_from(SUPPORTED_ORDERS), label="q")
+        rows = data.draw(st.integers(1, 6), label="rows")  # n - 1
+        field, elements = FiniteField(q), st.integers(0, q - 1)
+        vectors = st.lists(elements, min_size=rows, max_size=rows)
+        columns = data.draw(st.lists(vectors, max_size=rows), label="columns")
+        for unit in range(min(rows, 2)):
+            if data.draw(st.booleans(), label=f"e{unit} in span"):
+                e = [int(i == unit) for i in range(rows)]
+                columns.insert(data.draw(st.integers(0, len(columns))), e)
+        basis = ()
+        for c in columns:
+            basis = _extend(basis, c[:], field)
+        weight = data.draw(st.integers(1, 10**6), label="weight")
+        ranks = Counter()
+        rule = _last_column_ranks(ranks, rows + 1, field)
+        for _ in range(data.draw(st.integers(1, 3), label="prefixes")):  # one basis, many v0
+            if data.draw(st.booleans(), label="w in span"):
+                w = [0] * rows
+                for c in columns:
+                    times_c = field.mul[data.draw(elements)]
+                    w = [field.add[x][times_c[y]] for x, y in zip(w, c)]
+            else:
+                w = data.draw(vectors, label="w")
+            xs = {0}  # n = 2, with no (1, n-1), has xs = (0,) in the search
+            if rows > 1:
+                xs = set(data.draw(st.lists(elements, max_size=q), label="xs"))
+                if data.draw(st.booleans(), label="w[1] in xs"):
+                    xs.add(w[1])
+            xs = tuple(sorted(xs))
+            v0 = [0] * min(rows, 2) + w[2:]
+            expected = Counter()
+            for x in xs:
+                column = v0[:]
+                if rows > 1:
+                    column[1] = x
+                expected += Counter(previous_corner_ranks(column, basis, range(rows), field))
+            before = Counter(ranks)
+            rule(v0[::-1], basis, xs, weight)  # fill order: bottom up
+            assert ranks - before == times(weight, expected)
 
 
 # The odometer points whose weighted leaves, each expanded by all (q-1)^n
@@ -997,29 +805,37 @@ class TestPublicInterface:
     """The search and its rank steps read a field only through q, add, mul,
     neg and inv."""
 
-    @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2), (5, 3)], ids=lambda v: str(v))
+    @pytest.mark.parametrize("n,q", CORNER_GRID, ids=lambda v: str(v))
     def test_a_proxy_of_the_public_names_gives_the_same_leaves(self, n, q):
         f = FiniteField(q)
         real, seen = torus_leaves(n, f, ranked=True), torus_leaves(n, public_names(f), ranked=True)
         for k, (old, new) in enumerate(itertools.zip_longest(real, seen)):
             assert new == old, f"leaf {k}"
 
-    @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2), (5, 3)], ids=lambda v: str(v))
+    @pytest.mark.parametrize("n,q", CORNER_GRID, ids=lambda v: str(v))
     def test_a_proxy_of_the_public_names_gives_the_same_rank_counts(self, n, q):
         proxy, ranks = public_names(FiniteField(q)), Counter()
         _search(n, proxy, _last_column_ranks(ranks, n, proxy))
-        assert dict(sorted(ranks.items())) == count_by_rank(n, q)
+        assert dict(sorted(ranks.items())) == count_by_rank(n, q, budget=10**9)
 
 
 class TestTrackedRank:
-    """The rank carried down the torus search against a full elimination of
-    each weighted leaf, at points beyond the odometer grid."""
+    """The torus search's weighted leaves against full elimination, on the
+    odometer grid and past it: each leaf squares to zero, none repeats,
+    each has the rank a full elimination gives, and by weight they make up
+    count_by_rank."""
 
-    @pytest.mark.parametrize("n,q", [(5, 4), (4, 9), (6, 2), (6, 3)], ids=lambda v: str(v))
+    @pytest.mark.parametrize("n,q", SEARCH_GRID, ids=lambda v: str(v))
     def test_every_leaf_rank_equals_matrix_rank(self, n, q):
-        field = FiniteField(q)
-        for entries, rank, _ in torus_leaves(n, field, ranked=True):
-            assert rank == matrix_rank(StrictUpperMatrix(n, entries), field), entries
+        field, table = FiniteField(q), Counter()
+        leaves = torus_leaves(n, field, ranked=True)
+        assert len({leaf for leaf, _, _ in leaves}) == len(leaves), "a leaf was found twice"
+        for entries, rank, weight in leaves:
+            mat = StrictUpperMatrix(n, entries)
+            assert square_is_zero(mat, field), entries
+            assert rank == matrix_rank(mat, field), entries
+            table[rank] += weight
+        assert dict(sorted(table.items())) == count_by_rank(n, q, budget=10**9)
 
 
 class TestRoots:
