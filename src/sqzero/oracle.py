@@ -14,6 +14,12 @@ is settled in bulk from the roots table, and one reduction of the last
 column's known rows ranks all its values with every corner value.  Ranks
 use add, mul, neg and inv.
 
+At q = 2 the torus is trivial, so counting evaluates instead: for each
+square-zero leading block of size n - 2 it checks all 2^(2n-4) values of
+the last two columns' entries below the corner at once, bit-sliced, one
+big-int mask per entry and per check (Biham 1997), with XOR and AND
+asserted to be GF(2)'s add and mul tables.
+
 Only strictly upper-triangular X are enumerated.  That loses nothing: the
 diagonal of X^2 holds the squares of X's diagonal, and in a field only 0
 squares to 0, so every triangular solution already has a zero diagonal.
@@ -230,6 +236,51 @@ def _search(n: int, field: FiniteField, visit=None) -> int:
     return counted
 
 
+def _xors(values) -> list[int]:
+    """table[s]: the XOR of values[t] over the bits t of s."""
+    table = [0]
+    for v in values:
+        table += [u ^ v for u in table]
+    return table
+
+
+def _bitsliced(n: int, field: FiniteField):
+    """For n >= 2, yield (rows, passing) per square-zero leading block Y of
+    size m = n - 2, in one reused list.  Row t of Y is the bitmask of its
+    nonzero columns; rows are chosen bottom up, and row i passes when the
+    rows it picks XOR to zero (row i of Y^2).  Bit p of ``passing`` is set
+    iff X^2 = 0 at pattern p of the 2m sliced entries: X[t][n-2] is bit t
+    of p, X[t][n-1] bit m - 1 + t (0 < t <= m).  checks[i][s], for row i of
+    Y = s << (i + 1), ORs the masks of row i's checks in columns n-2 and
+    n-1: XORs of entry masks, and at n-1 the AND X[i][n-2]*X[n-2][n-1]."""
+    if field.q != 2 or field.add != ((0, 1), (1, 0)) or field.mul != ((0, 0), (0, 1)):
+        raise ArithmeticError("GF(2)'s add and mul tables are not XOR and AND")
+    m = n - 2
+    ones = (1 << (1 << 2 * m)) - 1
+    masks = []
+    for k in range(2 * m):  # 2^k zeros then 2^k ones, repeated: bit k of p
+        half = 1 << k
+        masks.append((((1 << half) - 1) << half) * (ones // ((1 << 2 * half) - 1)))
+    last = [0, *masks[m:]]  # the corner X[0][n-1] is in no check
+    checks = []
+    for i in range(m):
+        quad = masks[i] & last[m]
+        linear = zip(_xors(masks[i + 1 : m]), _xors(last[i + 1 : m]))
+        checks.append([a | (b ^ quad) for a, b in linear])
+    rows = [0] * m
+
+    def walk(i: int, bad: int):
+        if i < 0:
+            yield rows, ones ^ bad
+            return
+        for s, v in enumerate(_xors(rows[i + 1 :])):
+            if not v:
+                rows[i] = s << (i + 1)
+                yield from walk(i - 1, bad | checks[i][s])
+
+    return walk(m - 1, 0)
+
+
 def _enumerate(n: int, q: int, budget: int, by_rank: bool):
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -239,8 +290,10 @@ def _enumerate(n: int, q: int, budget: int, by_rank: bool):
         raise BudgetExceededError(q, cells, budget)
     if n == 1:  # no corner: the one 1 x 1 matrix is zero
         return Counter({0: 1}) if by_rank else 1
-    if not by_rank:
-        return q * _search(n, field)  # each with each of the corner's q values
+    if not by_rank:  # each with each of the corner's q values
+        if q == 2:
+            return 2 * sum(passing.bit_count() for _, passing in _bitsliced(n, field))
+        return q * _search(n, field)
     ranks = Counter()
     _search(n, field, _last_column_ranks(ranks, n, field))
     return ranks
@@ -250,9 +303,12 @@ def count_square_zero(n: int, q: int, *, budget: int = DEFAULT_BUDGET, workers: 
     """Exact number of n x n strictly upper-triangular X over GF(q) with
     X^2 = 0, by a search that takes only values that zero the entry of X^2
     they complete; each X found counts once per value of the free corner,
-    and an entry normalised to 1 by the torus once per nonzero value.
-    The budget bounds all q^(n(n-1)/2) candidates.  The search runs in the
-    calling process; ``workers`` is ignored (the benchmark passes it)."""
+    and an entry normalised to 1 by the torus once per nonzero value.  At
+    q = 2, each square-zero leading block of size n - 2 instead counts the
+    passing patterns of the last two columns, bit-sliced, twice for the
+    corner.  The budget bounds all q^(n(n-1)/2) candidates.  The count runs
+    in the calling process; ``workers`` is ignored (the benchmark passes
+    it)."""
     return _enumerate(n, q, budget, by_rank=False)
 
 

@@ -273,6 +273,34 @@ MUTANTS = [
         ("test_oracle.py",),
     ),
     Mutant(
+        "oracle: q = 2 kernel leaves out row 0's checks",
+        "oracle.py",
+        "yield from walk(i - 1, bad | checks[i][s])",
+        "yield from walk(i - 1, bad | checks[i][s] if i else bad)",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: q = 2 kernel drops the quadratic term",
+        "oracle.py",
+        "checks.append([a | (b ^ quad) for a, b in linear])",
+        "checks.append([a | b for a, b in linear])",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: q = 2 kernel drops the corner's 2",
+        "oracle.py",
+        "return 2 * sum(passing.bit_count()",
+        "return sum(passing.bit_count()",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: q = 2 mask period off by one",
+        "oracle.py",
+        "(ones // ((1 << 2 * half) - 1))",
+        "(ones // ((1 << 2 * half + 1) - 1))",
+        ("test_oracle.py",),
+    ),
+    Mutant(
         "oracle: budget compared at one power fewer",
         "oracle.py",
         "budget.bit_length()",

@@ -89,12 +89,15 @@ def test_criterion_6_oracle_agreement():
             counted = count_square_zero(n, q)
             predicted = closed_form(n).eval_at(q)
             assert counted == predicted, f"(n={n}, q={q}): {counted} != {predicted}"
-        # Past the default budget: 2^28 = 268M, 4^15 = 1.07G and 7^10 = 282M
-        # candidates, about 0.4, 0.003 and 0.001 s on 2 vCPU; then 3^21 =
-        # 10.5G, 5^15 = 30.5G, 9^10 = 3.5G, 7^15 = 4.7T and 4^21 = 4.4T,
-        # reachable because the search takes each diagonal-torus orbit once.
+        # Past the default budget: 2^28 = 268M and 2^36 = 68.7G candidates,
+        # about 0.005 and 0.13 s on 2 vCPU, because q = 2 evaluates the last
+        # two columns bit-sliced; 4^15 = 1.07G and 7^10 = 282M, about 0.003
+        # and 0.001 s; then 3^21 = 10.5G, 5^15 = 30.5G, 9^10 = 3.5G,
+        # 7^15 = 4.7T and 4^21 = 4.4T, reachable because the search takes
+        # each diagonal-torus orbit once.
         for n, q, budget in [
             (8, 2, 10**9),
+            (9, 2, 10**11),
             (6, 4, 2 * 10**9),
             (5, 7, 10**9),
             (7, 3, 10**11),

@@ -101,7 +101,12 @@ def _cases():
         # larger points, as a user runs them
         ("oracle_6_3_by_rank_text", ["oracle", "--n", "6", "--q", "3", "--by-rank"], None),
         ("oracle_5_5_text", ["oracle", "--n", "5", "--q", "5"], None),
-        # 3^21 candidates, past the default budget
+        # 2^36 and 3^21 candidates, past the default budget
+        (
+            "oracle_9_2_text",
+            ["oracle", "--n", "9", "--q", "2", "--budget", "100000000000"],
+            None,
+        ),
         (
             "oracle_7_3_by_rank_text",
             ["oracle", "--n", "7", "--q", "3", "--by-rank", "--budget", "100000000000"],

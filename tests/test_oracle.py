@@ -16,6 +16,10 @@ before the search took each diagonal-torus orbit once
 elimination anchor it leaf for leaf, and the torus search must match its
 counts and rank tables, and at q = 2 its leaves in order.  When the search
 is rewritten, the search it replaces takes this copy's place.
+
+The bit-sliced q = 2 count (_bitsliced) is checked against _search, which
+still counts every q >= 3 and ranks every q, and its passing patterns,
+expanded to matrices, against the odometer's solutions.
 """
 
 import itertools
@@ -38,6 +42,7 @@ from sqzero.counting import closed_form, recurrence_table
 from sqzero.gf import SUPPORTED_ORDERS, FiniteField
 from sqzero.oracle import (
     BudgetExceededError,
+    _bitsliced,
     _extend,
     _fill_order,
     _last_column_ranks,
@@ -900,6 +905,65 @@ class TestFillOrder:
             assert checked == set(range(len(order))) - {corner}
 
 
+def sliced_solutions(n: int) -> list:
+    """Every X the q = 2 kernel passes, as its row-major entry tuple: the
+    leading block's rows, each passing pattern's bits in the kernel's
+    entry order, and both corner values."""
+    m, place = n - 2, {}
+    for t in range(m):
+        place[t, n - 2] = t
+    for t in range(1, m + 1):
+        place[t, n - 1] = m - 1 + t
+    found = []
+    for rows, passing in _bitsliced(n, FiniteField(2)):
+        x = {(i, j): rows[i] >> j & 1 for i in range(m) for j in range(i + 1, m)}
+        for p in range(1 << 2 * m):
+            if passing >> p & 1:
+                x.update({ij: p >> k & 1 for ij, k in place.items()})
+                for corner in (0, 1):
+                    x[0, n - 1] = corner
+                    found.append(tuple(x[i, j] for i in range(n) for j in range(i + 1, n)))
+    return found
+
+
+class TestBitsliced:
+    """count_square_zero at q = 2 evaluates every pattern of the last two
+    columns below the corner per square-zero leading block, one big-int
+    mask per check."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_twice_the_search(self, n):
+        field = FiniteField(2)
+        assert count_square_zero(n, 2, budget=2 ** (n * (n - 1) // 2)) == 2 * _search(n, field)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_passing_patterns_are_the_odometer_solutions(self, n):
+        found = sliced_solutions(n)
+        assert len(found) == len(set(found)), "a matrix was passed twice"
+        assert set(found) == odometer_solutions(n, 2)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_one_block_per_square_zero_matrix_of_size_n_minus_2(self, n):
+        blocks = [tuple(rows) for rows, _ in _bitsliced(n, FiniteField(2))]
+        assert len(blocks) == len(set(blocks)) == len(odometer_solutions(n - 2, 2))
+
+    @pytest.mark.parametrize(
+        "add,mul",
+        [
+            (((0, 1), (1, 1)), ((0, 0), (0, 1))),  # add is OR
+            (((0, 1), (1, 0)), ((0, 0), (0, 0))),  # mul is 0
+            (((0, 1), (1, 0)), ((0, 1), (1, 1))),  # mul is OR
+        ],
+    )
+    def test_a_field_without_xor_and_and_is_refused(self, monkeypatch, add, mul):
+        fake = types.SimpleNamespace(q=2, add=add, mul=mul, neg=(0, 1), inv=FiniteField(2).inv)
+        with pytest.raises(ArithmeticError, match="not XOR and AND"):
+            next(_bitsliced(4, fake))
+        monkeypatch.setattr(sqzero.oracle, "FiniteField", lambda q: fake)
+        with pytest.raises(ArithmeticError, match="not XOR and AND"):
+            count_square_zero(4, 2)
+
+
 class TestEdgeCases:
     """n = 1 has no corner; at n = 2 the corner is the only entry."""
 
@@ -928,6 +992,7 @@ class TestIndependence:
         sys.setprofile(profile)
         try:
             count_square_zero(4, 3)
+            count_square_zero(4, 2)  # the bit-sliced kernel
             count_by_rank(4, 3)
         finally:
             sys.setprofile(None)
