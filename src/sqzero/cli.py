@@ -1,6 +1,9 @@
 """Command-line front end for the counting engines and the oracle.
 
-Subcommands: compute, verify, oracle, lemma2, table.
+Subcommands: compute, verify, oracle, lemma2, table; ``COMMANDS`` holds
+their handlers and options for both parsing and help.  Options are long
+only, as ``--opt value`` or ``--opt=value``; a unique prefix stands for the
+name, the last of a repeated option wins, and ``-h``/``--help`` prints help.
 
 Exit codes are stable across subcommands: 0 means success (all checks
 match), 1 means a mathematical mismatch or an engine error (an inexact
@@ -11,13 +14,13 @@ arbitrary-precision values survive any consumer.
 
 from __future__ import annotations
 
-import argparse
 import csv
+import getopt
 import io
 import json
 import sys
-from functools import cache
 from itertools import islice
+from types import SimpleNamespace
 
 from . import counting, oracle
 from .qpoly import InexactDivisionError, QLaurentPoly
@@ -188,75 +191,111 @@ def _cmd_table(args) -> int:
 
 
 def _parse_q_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
-@cache  # one parser per process, built by the first main() call
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sqzero",
-        description="Count strictly upper-triangular matrices over GF(q) whose square is zero.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
 
-    p = sub.add_parser("compute", help="compute the count polynomial for one n")
-    p.add_argument("--n", type=int, required=True, help="matrix dimension (>= 1)")
-    p.add_argument(
-        "--method",
-        choices=tuple(counting.ENGINES),
-        default="closed",
-        help="which engine computes the polynomial; every engine gives the same one",
-    )
-    p.add_argument("--q", type=int, help="also evaluate at q (any positive integer)")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(handler=_cmd_compute)
+# Each subcommand's handler, help and options.  An option maps to its parser
+# (int, a tuple of choices, a converter from the option's text, or None for a
+# switch), its default or REQUIRED, and its help.
+COMMANDS = {
+    "compute": (_cmd_compute, "compute the count polynomial for one n", {
+        "n": (int, REQUIRED, "matrix dimension (>= 1)"),
+        "method": (tuple(counting.ENGINES), "closed",
+                   "which engine computes the polynomial; every engine gives the same one"),
+        "q": (int, None, "also evaluate at q (any positive integer)"),
+        "format": (("text", "json", "csv"), "text", ""),
+    }),
+    "verify": (_cmd_verify, "cross-check every engine against the recurrence", {
+        "n-max": (int, 20, "check all n up to this bound"),
+    }),
+    "oracle": (_cmd_oracle, "count by enumeration and compare with the formula", {
+        "n": (int, REQUIRED, ""),
+        "q": (int, REQUIRED, "a supported prime power"),
+        "by-rank": (None, False, "also check the counts by matrix rank"),
+        "workers": (int, 1, "ignored: the search runs in one process (kept for scripts that pass it)"),
+        "budget": (int, oracle.DEFAULT_BUDGET, f"candidate budget (default {oracle.DEFAULT_BUDGET})"),
+        "format": (("text", "json"), "text", ""),
+    }),
+    "lemma2": (_cmd_lemma2, "check the alternating q-binomial sum identity", {
+        "m-max": (int, 60, "check all m up to this bound"),
+    }),
+    "table": (_cmd_table, "emit count polynomials (and values) for n = 1..n_max", {
+        "n-max": (int, REQUIRED, ""),
+        "q-list": (_parse_q_list, [], "comma-separated q values"),
+        "format": (("text", "json", "csv"), "text", ""),
+    }),
+}
 
-    p = sub.add_parser("verify", help="cross-check every engine against the recurrence")
-    p.add_argument("--n-max", type=int, default=20, help="check all n up to this bound")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="count by enumeration and compare with the formula")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True, help="a supported prime power")
-    p.add_argument("--by-rank", action="store_true", help="also check the counts by matrix rank")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="ignored: the search runs in one process (kept for scripts that pass it)",
-    )
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=oracle.DEFAULT_BUDGET,
-        help=f"candidate budget (default {oracle.DEFAULT_BUDGET})",
-    )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_oracle)
+def _help(command: str | None) -> list[str]:
+    """The lines that ``sqzero [command] --help`` prints; the first is the usage."""
+    if command is None:
+        title = "Count strictly upper-triangular matrices over GF(q) whose square is zero."
+        words = ["[-h]", "{" + ",".join(COMMANDS) + "}", "..."]
+        rows = [(name, cmd[1]) for name, cmd in COMMANDS.items()]
+    else:
+        _, title, options = COMMANDS[command]
+        words, rows = [command, "[-h]"], []
+        for name, (parse, default, text) in options.items():
+            spelling = f"--{name}"
+            if isinstance(parse, tuple):
+                spelling += " {" + ",".join(parse) + "}"
+            elif parse is not None:
+                spelling += " " + name.upper().replace("-", "_")
+            words.append(spelling if default is REQUIRED else f"[{spelling}]")
+            rows.append((spelling, text))
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    body = [f"  {left:<{width}}{text}".rstrip() for left, text in rows]
+    return [" ".join(["usage: sqzero", *words]), "", title, ""] + body
 
-    p = sub.add_parser("lemma2", help="check the alternating q-binomial sum identity")
-    p.add_argument("--m-max", type=int, default=60, help="check all m up to this bound")
-    p.set_defaults(handler=_cmd_lemma2)
 
-    p = sub.add_parser("table", help="emit count polynomials (and values) for n = 1..n_max")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--q-list", type=_parse_q_list, default=[], help="comma-separated q values")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(handler=_cmd_table)
-
-    return parser
+def _parse(command: str | None, argv: list[str]) -> SimpleNamespace | None:
+    """The handler and options of ``sqzero [command] argv``, or None once help
+    is printed.  A usage error raises ``getopt.GetoptError``."""
+    options = COMMANDS[command][2] if command else {}
+    longopts = ["help"] + [name if parse is None else name + "=" for name, (parse, _, _) in options.items()]
+    opts, rest = getopt.getopt(argv, "h", longopts)
+    values = {name: default for name, (_, default, _) in options.items()}
+    for flag, text in opts:
+        name = flag.lstrip("-")
+        if name in ("h", "help"):
+            print("\n".join(_help(command)))
+            return None
+        parse = options[name][0]
+        if parse is None:
+            values[name] = True
+        elif isinstance(parse, tuple) and text not in parse:
+            choices = ", ".join(parse)
+            raise getopt.GetoptError(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+        else:
+            try:
+                values[name] = text if isinstance(parse, tuple) else parse(text)
+            except ValueError as exc:
+                raise getopt.GetoptError(f"argument {flag}: {exc}") from None
+    if command is None:
+        raise getopt.GetoptError(f"invalid command: {rest[0]!r}" if rest else "a command is required")
+    if rest:
+        raise getopt.GetoptError("unrecognized arguments: " + " ".join(rest))
+    missing = [f"--{name}" for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise getopt.GetoptError("the following arguments are required: " + ", ".join(missing))
+    args = {name.replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(handler=COMMANDS[command][0], **args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage/help
-        code = exc.code
-        return 0 if code in (0, None) else int(code)
+        args = _parse(command, argv[1:] if command else argv)
+    except getopt.GetoptError as exc:
+        print(_help(command)[0], f"error: {exc.msg}", sep="\n", file=sys.stderr)
+        return 2
+    if args is None:  # help was printed
+        return 0
     # Counts at large n and q run past Python's default 4300-digit cap on
     # int <-> str conversion (3.11+); lift it while printing them whole.
     set_digit_limit = getattr(sys, "set_int_max_str_digits", None)

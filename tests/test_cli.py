@@ -1,6 +1,5 @@
 """CLI surface: output formats, exit-code contract, JSON round-trips."""
 
-import argparse
 import csv
 import io
 import json
@@ -112,12 +111,6 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--n", "0")
         assert code == 2
         assert "error" in err
-
-    def test_unknown_method_is_usage_error(self, capsys):
-        assert run(capsys, "compute", "--n", "3", "--method", "bogus")[0] == 2
-
-    def test_missing_subcommand_is_usage_error(self, capsys):
-        assert run(capsys)[0] == 2
 
 
 class TestVerify:
@@ -412,25 +405,68 @@ class TestParserPlumbing:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
-    def test_console_entry_point_matches_main(self):
-        assert cli.build_parser().prog == "sqzero"
+    def test_console_entry_point_matches_main(self, capsys):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert 'sqzero = "sqzero.cli:main"' in pyproject
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: sqzero ")
 
     def test_method_choices_are_the_engines_in_order(self):
-        parser = cli.build_parser()
-        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        method = next(a for a in commands.choices["compute"]._actions if a.dest == "method")
-        assert list(method.choices) == list(counting.ENGINES)
+        parse, default, _ = cli.COMMANDS["compute"][2]["method"]
+        assert list(parse) == list(counting.ENGINES)
+        assert default == "closed"
 
-    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
-        built, init = [], argparse.ArgumentParser.__init__
+    def test_main_loads_neither_argparse_nor_locale(self):
+        # A fresh interpreter: pytest itself has imported argparse here.
+        probe = (
+            "import sys, sqzero.cli; "
+            "code = sqzero.cli.main(['verify', '--n-max', '3']); "
+            "print(code, sorted({'argparse', 'locale'} & sys.modules.keys()))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-2:] == [
+            "verify: PASS (all engines agree for 1 <= n <= 3)",
+            "0 []",
+        ]
 
-        def counted(self, *args, **kwargs):
-            if kwargs.get("prog") == "sqzero":  # not a subcommand's parser
-                built.append(self)
-            init(self, *args, **kwargs)
 
-        cli.build_parser.cache_clear()
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        for _ in range(2):
-            assert run(capsys, "table", "--n-max", "1")[0] == 0
-        assert len(built) == 1
+# argv, and the canonical argv that must print the same, or None for a usage error
+SPELLINGS = {
+    "no_command": ([], None),
+    "unknown_command": (["bogus", "--n", "3"], None),
+    "unknown_option": (["verify", "--bogus", "3"], None),
+    "short_option": (["compute", "-n", "3"], None),
+    "ambiguous_prefix": (["oracle", "--n", "4", "--q", "2", "--b", "1"], None),
+    "missing_value": (["compute", "--n"], None),
+    "not_an_integer": (["compute", "--n", "x"], None),
+    "bad_method": (["compute", "--n", "3", "--method", "bogus"], None),
+    "bad_format": (["compute", "--n", "3", "--format", "xml"], None),
+    "missing_required": (["oracle", "--n", "4"], None),
+    "stray_positional": (["verify", "5"], None),
+    "switch_with_value": (["oracle", "--n", "3", "--q", "2", "--by-rank=yes"], None),
+    "equals_sign": (["verify", "--n-max=5"], ["verify", "--n-max", "5"]),
+    "unique_prefix": (["verify", "--n-m", "5"], ["verify", "--n-max", "5"]),
+    "last_repeat_wins": (["verify", "--n-max", "9", "--n-max", "5"], ["verify", "--n-max", "5"]),
+    "prefixes_and_equals": (
+        ["compute", "--n=7", "--me=anna", "--f", "json", "--q=3"],
+        ["compute", "--n", "7", "--method", "anna", "--format", "json", "--q", "3"],
+    ),
+    "switch_prefix": (["oracle", "--n", "3", "--q", "2", "--by"], ["oracle", "--n", "3", "--q", "2", "--by-rank"]),
+    "help_prefix": (["oracle", "--he"], ["oracle", "--help"]),
+    "help_after_options": (["verify", "--n-max", "5", "-h"], ["verify", "--help"]),
+}
+
+
+@pytest.mark.parametrize("argv,canonical", SPELLINGS.values(), ids=SPELLINGS)
+def test_spelling(capsys, argv, canonical):
+    code, out, err = run(capsys, *argv)
+    if canonical is not None:
+        assert (code, out, err) == run(capsys, *canonical)
+        assert code == 0 and out
+        return
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert any("error: " in line for line in err.splitlines())

@@ -2,8 +2,9 @@
 
 Each case runs ``cli.main`` in-process and compares what it printed with
 ``tests/golden/<case>.json``.  Some cases first corrupt an engine, to pin
-the text and order of the failure reports.  Argparse's own usage and error
-text is left out: its wording differs between Python versions.  Each demo
+the text and order of the failure reports.  The help of ``sqzero`` and of
+``sqzero oracle`` is pinned; usage errors are left out, as getopt words
+some of them and its wording may differ between Python versions.  Each demo
 under ``demos/`` runs as a script in a fresh interpreter, and its stdout
 is compared with ``tests/golden/demo_<name>.txt``.
 
@@ -82,6 +83,8 @@ def _cases():
         cases.append((f"compute_{method}_json", base + ["--q", "3", "--format", "json"], None))
         cases.append((f"compute_{method}_csv", base + ["--q", "3", "--format", "csv"], None))
     cases += [
+        ("help", ["--help"], None),
+        ("oracle_help", ["oracle", "--help"], None),
         ("compute_value_text", ["compute", "--n", "12", "--q", "5"], None),
         ("verify_20", ["verify", "--n-max", "20"], None),
         ("lemma2_60", ["lemma2", "--m-max", "60"], None),
