@@ -4,6 +4,8 @@ Subcommands: compute, verify, oracle, lemma2, table; ``COMMANDS`` holds
 their handlers and options for both parsing and help.  Options are long
 only, as ``--opt value`` or ``--opt=value``; a unique prefix stands for the
 name, the last of a repeated option wins, and ``-h``/``--help`` prints help.
+Each option's range is part of its ``COMMANDS`` entry, so an out-of-range
+value is a usage error like any other, and the handlers check no values.
 
 Exit codes are stable across subcommands: 0 means success (all checks
 match), 1 means a mathematical mismatch or an engine error (an inexact
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import getopt
-import io
 import json
 import sys
 from itertools import islice
@@ -44,18 +45,12 @@ def _record(n: int, method: str, q: int | None, polynomial: QLaurentPoly | None,
 
 def _print_csv(header: list[str], rows) -> None:
     """Print one CSV document; csv writes None as an empty field and str()s the rest."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    print(buf.getvalue(), end="")
 
 
 def _cmd_compute(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    if args.q is not None and args.q < 1:
-        raise ValueError(f"--q must be a positive integer, got {args.q}")
     poly = counting.engine_total(args.method, args.n)
     value = poly.eval_at(args.q) if args.q is not None else None
     if args.format == "json":
@@ -68,8 +63,6 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     mismatches: list[str] = []
     for n, entries in zip(range(1, args.n_max + 1), islice(counting.recurrence_rows(), 1, None)):
         reference = counting.row_total(entries)
@@ -104,11 +97,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
     issues = []
     if args.by_rank:
-        ranks = oracle.count_by_rank(args.n, args.q, budget=args.budget, workers=args.workers)
+        ranks = oracle.count_by_rank(args.n, args.q, budget=args.budget)
         count = sum(ranks.values())
         # Each rank r with 2r <= n must occur t(n, r) times at q; no other rank may.
         expected = {
@@ -120,7 +111,7 @@ def _cmd_oracle(args) -> int:
             if ranks.get(r, 0) != expected.get(r, 0)
         ]
     else:
-        count = oracle.count_square_zero(args.n, args.q, budget=args.budget, workers=args.workers)
+        count = oracle.count_square_zero(args.n, args.q, budget=args.budget)
     formula_poly = counting.closed_form(args.n)
     formula = formula_poly.eval_at(args.q)
     match = count == formula and not issues
@@ -146,8 +137,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_lemma2(args) -> int:
-    if args.m_max < 0:
-        raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
     failures = []
     for m in range(args.m_max + 1):
         lhs = counting.alternating_qbinomial_sum(m)
@@ -163,55 +152,62 @@ def _cmd_lemma2(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    q_list = args.q_list or []
-    if any(q < 1 for q in q_list):
-        raise ValueError(f"--q-list values must be positive, got {q_list}")
     polys = {n: counting.closed_form(n) for n in range(1, args.n_max + 1)}
     if args.format == "json":
         records = [
             _record(n, "closed", q, poly, None if q is None else poly.eval_at(q))
             for n, poly in polys.items()
-            for q in q_list or [None]
+            for q in args.q_list or [None]
         ]
         print(json.dumps(records))
     elif args.format == "csv":
         _print_csv(
-            ["n", "polynomial"] + [str(q) for q in q_list],
-            ([n, poly] + [poly.eval_at(q) for q in q_list] for n, poly in polys.items()),
+            ["n", "polynomial"] + [str(q) for q in args.q_list],
+            ([n, poly] + [poly.eval_at(q) for q in args.q_list] for n, poly in polys.items()),
         )
     else:
         for n, poly in polys.items():
             line = f"n={n}  {poly}"
-            if q_list:
-                line += "  " + "  ".join(f"q={q}: {poly.eval_at(q)}" for q in q_list)
+            if args.q_list:
+                line += "  " + "  ".join(f"q={q}: {poly.eval_at(q)}" for q in args.q_list)
             print(line)
     return 0
 
 
+def _at_least(low: int):
+    """A parser of the integers >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_q_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    return [_at_least(1)(part) for part in text.split(",") if part.strip()]
 
 
 REQUIRED = object()  # the default of an option that must be given
 
 # Each subcommand's handler, help and options.  An option maps to its parser
-# (int, a tuple of choices, a converter from the option's text, or None for a
-# switch), its default or REQUIRED, and its help.
+# (int, a tuple of choices, a converter from the option's text such as
+# _at_least(1), or None for a switch), its default or REQUIRED, and its help.
 COMMANDS = {
     "compute": (_cmd_compute, "compute the count polynomial for one n", {
-        "n": (int, REQUIRED, "matrix dimension (>= 1)"),
+        "n": (_at_least(1), REQUIRED, "matrix dimension (>= 1)"),
         "method": (tuple(counting.ENGINES), "closed",
                    "which engine computes the polynomial; every engine gives the same one"),
-        "q": (int, None, "also evaluate at q (any positive integer)"),
+        "q": (_at_least(1), None, "also evaluate at q (any positive integer)"),
         "format": (("text", "json", "csv"), "text", ""),
     }),
     "verify": (_cmd_verify, "cross-check every engine against the recurrence", {
-        "n-max": (int, 20, "check all n up to this bound"),
+        "n-max": (_at_least(1), 20, "check all n up to this bound"),
     }),
     "oracle": (_cmd_oracle, "count by enumeration and compare with the formula", {
-        "n": (int, REQUIRED, ""),
+        "n": (_at_least(1), REQUIRED, ""),
         "q": (int, REQUIRED, "a supported prime power"),
         "by-rank": (None, False, "also check the counts by matrix rank"),
         "workers": (int, 1, "ignored: the search runs in one process (kept for scripts that pass it)"),
@@ -219,10 +215,10 @@ COMMANDS = {
         "format": (("text", "json"), "text", ""),
     }),
     "lemma2": (_cmd_lemma2, "check the alternating q-binomial sum identity", {
-        "m-max": (int, 60, "check all m up to this bound"),
+        "m-max": (_at_least(0), 60, "check all m up to this bound"),
     }),
     "table": (_cmd_table, "emit count polynomials (and values) for n = 1..n_max", {
-        "n-max": (int, REQUIRED, ""),
+        "n-max": (_at_least(1), REQUIRED, ""),
         "q-list": (_parse_q_list, [], "comma-separated q values"),
         "format": (("text", "json", "csv"), "text", ""),
     }),

@@ -42,9 +42,6 @@ class BudgetExceededError(Exception):
         super().__init__(f"enumeration budget exceeded: {q}^{cells} candidates > budget {budget}")
         self.q, self.cells, self.budget = q, cells, budget
 
-    def __reduce__(self):
-        return type(self), (self.q, self.cells, self.budget)
-
     @property
     def required(self) -> int:
         return self.q**self.cells

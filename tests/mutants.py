@@ -91,6 +91,20 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     Mutant(
+        "cli: _at_least admits nothing at the bound",
+        "cli.py",
+        "if value < low:",
+        "if value <= low:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "cli: --q-list items left unbounded",
+        "cli.py",
+        "[_at_least(1)(part) for part",
+        "[int(part) for part",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "counting: a sign in _recurrence_step",
         "counting.py",
         "(-1, r, t_lower)",

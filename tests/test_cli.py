@@ -107,11 +107,6 @@ class TestCompute:
         with unlimited_digits():
             assert printed == str(counting.closed_form(140).eval_at(9))
 
-    def test_invalid_n(self, capsys):
-        code, _, err = run(capsys, "compute", "--n", "0")
-        assert code == 2
-        assert "error" in err
-
 
 class TestVerify:
     def test_passes(self, capsys):
@@ -119,12 +114,6 @@ class TestVerify:
         assert code == 0
         assert "verify: PASS" in out
         assert "n=8: OK" in out
-
-    def test_trivial_bound(self, capsys):
-        assert run(capsys, "verify", "--n-max", "1")[0] == 0
-
-    def test_invalid_bound(self, capsys):
-        assert run(capsys, "verify", "--n-max", "0")[0] == 2
 
     @pytest.mark.parametrize(
         "target,located",
@@ -343,14 +332,6 @@ class TestLemma2:
         assert code == 0
         assert "lemma2: PASS" in out
 
-    def test_zero_bound(self, capsys):
-        assert run(capsys, "lemma2", "--m-max", "0")[0] == 0
-
-    def test_negative_bound_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "lemma2", "--m-max", "-1")
-        assert code == 2
-        assert "error" in err
-
 
 class TestTable:
     def test_csv_values_at_two(self, capsys):
@@ -393,12 +374,6 @@ class TestTable:
         assert len(printed) > 4300
         with unlimited_digits():
             assert printed == str(counting.closed_form(140).eval_at(9))
-
-    def test_bad_q_list_is_usage_error(self, capsys):
-        assert run(capsys, "table", "--n-max", "3", "--q-list", "2,x")[0] == 2
-
-    def test_invalid_bound(self, capsys):
-        assert run(capsys, "table", "--n-max", "0")[0] == 2
 
 
 class TestParserPlumbing:
@@ -447,6 +422,14 @@ SPELLINGS = {
     "missing_required": (["oracle", "--n", "4"], None),
     "stray_positional": (["verify", "5"], None),
     "switch_with_value": (["oracle", "--n", "3", "--q", "2", "--by-rank=yes"], None),
+    "bad_q_list": (["table", "--n-max", "3", "--q-list", "2,x"], None),
+    "compute_n_below_1": (["compute", "--n", "0"], None),
+    "compute_q_below_1": (["compute", "--n", "3", "--q", "0"], None),
+    "verify_n_max_below_1": (["verify", "--n-max", "0"], None),
+    "oracle_n_below_1": (["oracle", "--n", "0", "--q", "2"], None),
+    "lemma2_m_max_below_0": (["lemma2", "--m-max", "-1"], None),
+    "table_n_max_below_1": (["table", "--n-max", "0"], None),
+    "table_q_list_item_below_1": (["table", "--n-max", "3", "--q-list", "2,0"], None),
     "equals_sign": (["verify", "--n-max=5"], ["verify", "--n-max", "5"]),
     "unique_prefix": (["verify", "--n-m", "5"], ["verify", "--n-max", "5"]),
     "last_repeat_wins": (["verify", "--n-max", "9", "--n-max", "5"], ["verify", "--n-max", "5"]),
@@ -470,3 +453,50 @@ def test_spelling(capsys, argv, canonical):
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert any("error: " in line for line in err.splitlines())
+
+
+# the error line of each out-of-range case in SPELLINGS
+RANGE_ERRORS = {
+    "compute_n_below_1": "argument --n: must be >= 1, got 0",
+    "compute_q_below_1": "argument --q: must be >= 1, got 0",
+    "verify_n_max_below_1": "argument --n-max: must be >= 1, got 0",
+    "oracle_n_below_1": "argument --n: must be >= 1, got 0",
+    "lemma2_m_max_below_0": "argument --m-max: must be >= 0, got -1",
+    "table_n_max_below_1": "argument --n-max: must be >= 1, got 0",
+    "table_q_list_item_below_1": "argument --q-list: must be >= 1, got 0",
+}
+
+
+@pytest.mark.parametrize("case", RANGE_ERRORS)
+def test_out_of_range_value_prints_usage_and_error(capsys, case):
+    argv = SPELLINGS[case][0]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"{cli._help(argv[0])[0]}\nerror: {RANGE_ERRORS[case]}\n"
+
+
+def test_out_of_range_stderr(capsys):
+    code, out, err = run(capsys, "compute", "--n", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "usage: sqzero compute [-h] --n N [--method {closed,recurrence,anna,sumanna}] [--q Q]"
+        " [--format {text,json,csv}]",
+        "error: argument --n: must be >= 1, got 0",
+    ]
+
+
+# each bounded option at its bound
+AT_BOUNDS = {
+    "compute": ["compute", "--n", "1", "--q", "1"],
+    "verify": ["verify", "--n-max", "1"],
+    "oracle": ["oracle", "--n", "1", "--q", "2"],
+    "lemma2": ["lemma2", "--m-max", "0"],
+    "table": ["table", "--n-max", "1", "--q-list", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", AT_BOUNDS.values(), ids=AT_BOUNDS)
+def test_each_bound_is_accepted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
