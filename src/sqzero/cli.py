@@ -63,7 +63,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    mismatches: list[str] = []
+    mismatches = 0
     for n, entries in zip(range(1, args.n_max + 1), islice(counting.recurrence_rows(), 1, None)):
         reference = counting.row_total(entries)
         total_issues: list[str] = []
@@ -86,11 +86,11 @@ def _cmd_verify(args) -> int:
         if row_issues:
             for issue in row_issues:
                 print(f"MISMATCH {issue}")
-            mismatches.extend(row_issues)
+            mismatches += len(row_issues)
         else:
             print(f"n={n}: OK")
     if mismatches:
-        print(f"verify: FAIL ({len(mismatches)} mismatches, n_max={args.n_max})")
+        print(f"verify: FAIL ({mismatches} mismatches, n_max={args.n_max})")
         return 1
     print(f"verify: PASS (all engines agree for 1 <= n <= {args.n_max})")
     return 0
@@ -137,15 +137,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_lemma2(args) -> int:
-    failures = []
+    mismatches = 0
     for m in range(args.m_max + 1):
         lhs = counting.alternating_qbinomial_sum(m)
         rhs = counting.alternating_qbinomial_sum_closed(m)
         if lhs != rhs:
-            failures.append(m)
+            mismatches += 1
             print(f"MISMATCH m={m}: sum [{lhs}] != closed form [{rhs}]")
-    if failures:
-        print(f"lemma2: FAIL ({len(failures)} mismatches, m_max={args.m_max})")
+    if mismatches:
+        print(f"lemma2: FAIL ({mismatches} mismatches, m_max={args.m_max})")
         return 1
     print(f"lemma2: PASS (identity holds for 0 <= m <= {args.m_max})")
     return 0

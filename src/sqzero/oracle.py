@@ -145,11 +145,12 @@ def _search(n: int, field: FiniteField, visit=None) -> int:
     times the branch's own count when it returns, and ``weight``, the
     prefix's product of those q - 1, goes to ``visit``.  A forced nonzero
     root joins indices already connected through its check, so labels
-    change only at these positions, and are restored there.  Counting
-    alone settles the node before (1, n-1) without the rule.
+    change only at these positions, and are restored there.  The rule
+    reaches the node before (1, n-1) only when ``visit`` ranks: counting
+    q values there costs less than splitting them.
 
-    The node before (1, n-1) counts (1, n-1)'s roots xs, and with
-    ``visit`` calls visit(entries, basis[n-2], xs, weight), which must
+    Per value, the node before (1, n-1) counts (1, n-1)'s roots xs, and
+    with ``visit`` calls visit(entries, basis[n-2], xs, weight), which must
     leave ``entries`` as it was; basis[j], the echelon basis of columns
     0..j, is then built when (0, j) completes, from basis[j-1] and column
     j's slice, top row first.  n = 2 has no (1, n-1): its xs is (0,)."""
@@ -204,11 +205,7 @@ def _search(n: int, field: FiniteField, visit=None) -> int:
             for u, v in h:
                 s = add[s][mul[entries[u]][entries[v]]]
             ah = add[s]
-            if depth == settle and not visit:
-                for x in xs:
-                    counted += len(ra[ah[mb[x]]])
-                return
-            if full and len(xs) == full and split(depth):
+            if full and len(xs) == full and (visit or depth < settle) and split(depth):
                 return
             for x in xs:
                 entries[depth] = x
@@ -220,7 +217,8 @@ def _search(n: int, field: FiniteField, visit=None) -> int:
                     continue
                 if depth == settle:
                     counted += len(ys)
-                    visit(entries, basis[-1], ys, weight)
+                    if visit:
+                        visit(entries, basis[-1], ys, weight)
                 elif len(xs) > 1:
                     fill(depth + 1, ys)
                 else:  # one root: go on in this call

@@ -1,14 +1,16 @@
-"""Peak memory of the two formula checks and of the q = 2 oracle at sizes
-past the Tier-1 suite.
+"""Peak memory of the two formula checks and of the oracle's count at
+q = 2 and at q = 3, at sizes past the Tier-1 suite.
 
     python tests/memory_bounds.py
 
 Each command runs in its own interpreter; its peak resident set size is
 read from ``os.wait4`` on the child.  The exit code is 0 when every command
 exits 0 within its bound, and 1 otherwise; a command exits 1 itself when
-its result is wrong, so a wrong count fails too.  The oracle's bound pins
-its leading blocks as streamed, never listed.  Pytest does not collect this
-file (its name has no ``test_``).
+its result is wrong, so a wrong count fails too.  The q = 2 oracle's
+bound pins its leading blocks as streamed, never listed; the q = 3 oracle
+runs the search's count, torus rule and settle loop, past the sizes the
+Tier-1 suite counts.  Pytest does not collect this file (its name has no
+``test_``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ BOUNDS = [
     (("lemma2", "--m-max", "200"), 450),
     (("verify", "--n-max", "100"), 70),
     (("oracle", "--n", "10", "--q", "2", "--budget", "100000000000000"), 40),
+    (("oracle", "--n", "8", "--q", "3", "--budget", "100000000000000"), 40),
 ]
 
 

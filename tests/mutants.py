@@ -84,6 +84,13 @@ MUTANTS = [
         ("test_qbinom.py",),
     ),
     Mutant(
+        "cli: lemma2 never reports a mismatch",
+        "cli.py",
+        "if lhs != rhs:",
+        "if False:",
+        ("test_cli.py", "test_golden.py"),
+    ),
+    Mutant(
         "cli: verify reads one reference row late",
         "cli.py",
         "islice(counting.recurrence_rows(), 1, None)",
@@ -103,6 +110,20 @@ MUTANTS = [
         "[_at_least(1)(part) for part",
         "[int(part) for part",
         ("test_cli.py",),
+    ),
+    Mutant(
+        "counting: entry extraction's non-polynomial check passes",
+        "counting.py",
+        'raise NonPolynomialResultError(f"non-polynomial CT result for entry ({n}, {r}): {result}")',
+        "pass",
+        ("test_counting.py",),
+    ),
+    Mutant(
+        "counting: total extraction's non-polynomial check passes",
+        "counting.py",
+        'raise NonPolynomialResultError(f"non-polynomial CT result for total ({n}): {result}")',
+        "pass",
+        ("test_counting.py",),
     ),
     Mutant(
         "counting: a sign in _recurrence_step",
@@ -238,10 +259,10 @@ MUTANTS = [
         ("test_oracle.py",),
     ),
     Mutant(
-        "oracle: bulk count reads X[0][2]*y as 0",
+        "oracle: settle counts one root per value",
         "oracle.py",
-        "counted += len(ra[ah[mb[x]]])",
-        "counted += len(ra[ah[0]])",
+        "counted += len(ys)",
+        "counted += 1",
         ("test_oracle.py",),
     ),
     Mutant(
@@ -282,8 +303,8 @@ MUTANTS = [
     Mutant(
         "oracle: torus rule applied without len(xs) == q",
         "oracle.py",
-        "if full and len(xs) == full and split(depth):",
-        "if full and split(depth):",
+        "if full and len(xs) == full and (visit or depth < settle) and split(depth):",
+        "if full and (visit or depth < settle) and split(depth):",
         ("test_oracle.py",),
     ),
     Mutant(
@@ -312,6 +333,13 @@ MUTANTS = [
         "oracle.py",
         "(ones // ((1 << 2 * half) - 1))",
         "(ones // ((1 << 2 * half + 1) - 1))",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "oracle: n < 1 passes the argument check",
+        "oracle.py",
+        'raise ValueError(f"n must be positive, got {n}")',
+        "pass",
         ("test_oracle.py",),
     ),
     Mutant(

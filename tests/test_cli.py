@@ -332,6 +332,18 @@ class TestLemma2:
         assert code == 0
         assert "lemma2: PASS" in out
 
+    def test_a_wrong_sum_fails_with_its_m(self, capsys, monkeypatch):
+        real = counting.alternating_qbinomial_sum
+
+        def corrupted(m):
+            return real(m) + QLaurentPoly({0: 1}) if m == 5 else real(m)
+
+        monkeypatch.setattr(counting, "alternating_qbinomial_sum", corrupted)
+        code, out, _ = run(capsys, "lemma2", "--m-max", "6")
+        assert code == 1
+        assert "MISMATCH m=5: sum [1] != closed form [0]\n" in out
+        assert out.splitlines()[-1] == "lemma2: FAIL (1 mismatches, m_max=6)"
+
 
 class TestTable:
     def test_csv_values_at_two(self, capsys):

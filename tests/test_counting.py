@@ -9,6 +9,7 @@ import pytest
 from sqzero import counting, qbinom
 from sqzero.counting import (
     ENGINES,
+    NonPolynomialResultError,
     WLaurent,
     _recurrence_step,
     alternating_qbinomial_sum,
@@ -165,6 +166,11 @@ class TestConstantTermEntry:
         with pytest.raises(ValueError):
             constant_term_entry(2, -1)
 
+    def test_negative_exponents_raise(self, monkeypatch):
+        monkeypatch.setattr(counting, "qbinomial", lambda m, i: P({-1000: 1}))
+        with pytest.raises(NonPolynomialResultError, match=r"entry \(4, 1\)"):
+            constant_term_entry(4, 1)
+
 
 class TestRecurrenceResidual:
     @pytest.mark.parametrize("n,r", [(1, 0), (3, 0), (5, 2)])
@@ -196,6 +202,11 @@ class TestConstantTermTotal:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             constant_term_total(0)
+
+    def test_negative_exponents_raise(self, monkeypatch):
+        monkeypatch.setattr(counting, "alternating_qbinomial_sum", lambda m: P({-1000: 1}))
+        with pytest.raises(NonPolynomialResultError, match=r"total \(4\)"):
+            constant_term_total(4)
 
 
 class TestAlternatingSumIdentity:

@@ -149,6 +149,11 @@ def _cases():
             ["verify", "--n-max", "6"],
             _raise_at("constant_term_total", NonPolynomialResultError, 3),
         ),
+        (
+            "lemma2_6_corrupted",
+            ["lemma2", "--m-max", "6"],
+            _plus_one_at("alternating_qbinomial_sum", 5),
+        ),
     ]
     return cases
 

@@ -966,6 +966,13 @@ class TestEdgeCases:
         assert count_square_zero(2, q) == q
         assert count_by_rank(2, q) == {0: 1, 1: q - 1}
 
+    @pytest.mark.parametrize("count", [count_square_zero, count_by_rank])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_n_0_is_refused(self, count, q):
+        # the CLI refuses --n 0 first, so only a direct call reaches this check
+        with pytest.raises(ValueError, match=r"^n must be positive, got 0$"):
+            count(0, q)
+
 
 class TestIndependence:
     """The oracle's whole value as a cross-check is that it shares no code
